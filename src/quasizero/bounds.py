@@ -49,6 +49,10 @@ DEFAULT_WINDOW = 1000.0
 
 _CHUNK = 8192
 
+#: the small-zero disk of estimate_c_delta ends this far inside the outer
+#: chain zero of index +-nu_min, and moves inward by as much per retry
+SMALL_DISK_MARGIN = 0.5
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -257,18 +261,23 @@ def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
     """Refined zeros covering the band up to |Im| = 2*pi*nu_hi.
 
     Chain indices |nu| in [nu_min, nu_hi] come from the enumerator; whatever
-    lives below the first chain zero is picked up by certified small-zero
-    isolation on a disk whose radius is nudged until its boundary is clear of
-    zeros.
+    lives below the chain is picked up by certified small-zero isolation on
+    a disk that ends just inside the farther of the two chain zeros of index
+    +-nu_min, nudged inward until its boundary is clear of zeros.  Chain
+    zeros inside that disk are dropped as duplicates.
     """
     records = enumerate_zeros(q, -nu_hi, nu_hi)
     zeros = [rec.refined for rec in records]
-    base = math.tau * (nu_min(q) + 0.75)
+    # The zeros below the chain lie about one period inside this radius.  The
+    # nearer of the two +-nu_min zeros gives no such margin: when A is close
+    # to the negative real axis its modulus exceeds that of the zero of index
+    # -+(nu_min - 1) by less than 0.05.
+    outer = max(abs(rec.refined) for rec in records if abs(rec.nu) == nu_min(q))
     small: list[complex] | None = None
     last_err: Exception | None = None
-    for bump in range(8):
+    for bump in range(1, 9):
         try:
-            small = small_zeros(q, base + 0.5 * bump)
+            small = small_zeros(q, outer - SMALL_DISK_MARGIN * bump)
         except (BoundaryZeroError, DepthExceededError) as err:
             last_err = err
             continue
@@ -280,6 +289,40 @@ def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
         if all(abs(z - existing) > 1e-6 for existing in zeros):
             zeros.append(z)
     return zeros
+
+
+def _min_gap(zeros: list[complex]) -> float:
+    """Smallest distance between two of the zeros, which are sorted by Im.
+
+    Compares neighbours at offset 1, 2, ... in that order and stops at the
+    first offset whose smallest Im gap is already no less than the best
+    distance, since every later offset has larger Im gaps.
+    """
+    best = math.inf
+    for off in range(1, len(zeros)):
+        pairs = list(zip(zeros, zeros[off:]))
+        if min(b.imag - a.imag for a, b in pairs) >= best:
+            break
+        best = min(best, min(abs(a - b) for a, b in pairs))
+    return best
+
+
+def _clear_of(lam: np.ndarray, zs: np.ndarray, delta: float) -> np.ndarray:
+    """Mask of the points farther than delta from every zero.
+
+    zs is sorted by Im; each point is measured only against the zeros whose
+    Im lies within 2*delta of its own, which include every zero within delta
+    of it, so the mask equals that of the full distance matrix.
+    """
+    lo = np.searchsorted(zs.imag, lam.imag - 2.0 * delta, side="left")
+    hi = np.searchsorted(zs.imag, lam.imag + 2.0 * delta, side="right")
+    clear = np.ones(lam.shape, dtype=bool)
+    for off in range(int((hi - lo).max(initial=0))):
+        idx = lo + off
+        near = idx < hi
+        dist = np.abs(lam[near] - zs[idx[near]])
+        clear[near] &= dist > delta
+    return clear
 
 
 def estimate_c_delta(
@@ -314,11 +357,9 @@ def estimate_c_delta(
     if nu_hi < nu_min(q):
         raise InvalidIndexError(f"nu_hi must be >= nu_min = {nu_min(q)}, got {nu_hi}")
 
-    zeros = _collect_band_zeros(q, nu_hi)
+    zeros = sorted(_collect_band_zeros(q, nu_hi), key=lambda z: z.imag)
     zs = np.array(zeros, dtype=complex)
-    gap_min = min(
-        abs(a - b) for i, a in enumerate(zeros) for b in zeros[i + 1 :]
-    )
+    gap_min = _min_gap(zeros)
     if not delta < 0.5 * gap_min:
         raise DeltaTooLargeError(
             f"delta = {delta!r} >= half the minimum zero gap {gap_min:.6g}"
@@ -335,9 +376,7 @@ def estimate_c_delta(
             sig = xs - 0.5 * q.k * np.log(rr)
         ok = (np.abs(ys) <= y_max) & (rr > r2) & (np.abs(sig) <= h)
         if ok.any():
-            lam = (xs + 1j * ys)[ok]
-            dist = np.abs(lam[:, None] - zs[None, :]).min(axis=1)
-            ok[ok] = dist > delta
+            ok[ok] = _clear_of(xs[ok] + 1j * ys[ok], zs, delta)
         return ok
 
     hull = (x_lo, x_hi, -y_max, y_max)

@@ -1,12 +1,19 @@
 """Certified zero counting via the argument principle.
 
 f is entire, so the number of zeros inside a closed contour equals the total
-change of arg(f) around it divided by 2*pi.  The walkers here sample f along
-the contour and recursively bisect every piece until the phase change between
-neighbouring samples is below pi/2; the accumulated change is then guaranteed
-to be the true winding provided f never vanishes on the contour itself.  The
-phase is computed by factoring out whichever term of f dominates, so contours
-far out in the plane are handled without overflow.
+change of arg(f) around it divided by 2*pi.  One edge walker samples f along
+every contour edge and bisects each piece until the phase change between
+neighbouring samples is below pi/2; the accumulated change is then
+guaranteed to be the true winding provided f never vanishes on the contour
+itself.  The phase is computed by factoring out whichever term of f
+dominates, so contours far out in the plane are handled without overflow.
+
+The walker returns its samples, not only their phase steps, so quadtree
+isolation never walks a line twice.  Every box keeps its four walked edges.
+Splitting it cuts each edge at its cut point (only the piece holding the
+cut point is bisected again) and walks the two cross lines once; each half
+of a cross line serves both children beside it, one in each direction, and
+a child's count is the sum of the steps along its four edges.
 
 This counter is the independent certificate for the refinement pipeline: it
 never looks inside the refiners, only at values of f along curves.
@@ -14,10 +21,11 @@ never looks inside the refiners, only at values of f along curves.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .core import Quasipolynomial
 from .errors import (
@@ -190,62 +198,173 @@ def _eval_point(
     return ph, mag
 
 
-def _walk_piece(
-    q: Quasipolynomial,
-    point_of: Callable[[float], complex],
-    t0: float,
-    f0: tuple[float, float],
-    t1: float,
-    f1: tuple[float, float],
-    depth: int,
-    stats: _WalkStats,
-) -> float:
-    """Accumulated phase change along one contour piece, bisecting as needed."""
+def _accepted_step(f0: tuple[float, float], f1: tuple[float, float]) -> float | None:
+    """Phase change over a contour piece with end values f0, f1, or None when
+    the piece must be bisected.
+
+    This is the one acceptance rule for every piece of every contour.
+    """
     d = math.remainder(f1[0] - f0[0], math.tau)
-    if abs(d) < PHASE_STEP_LIMIT:
-        stats.segments += 1
-        return d
-    if depth <= 0:
-        if stats.min_mag < BOUNDARY_REL_TOL:
-            raise BoundaryZeroError(
-                "phase unresolved near a vanishing |f| on the contour "
-                f"(relative |f| = {stats.min_mag:.3e} at {stats.min_mag_point!r})",
-                point=stats.min_mag_point,
-                magnitude=stats.min_mag,
-            )
-        raise DepthExceededError(
-            f"phase step {abs(d):.3f} >= pi/2 after exhausting bisection depth "
-            f"near {point_of(0.5 * (t0 + t1))!r}"
+    return d if abs(d) < PHASE_STEP_LIMIT else None
+
+
+class _Edge:
+    """A walked contour edge: its samples (points and (phase, relmag) values)
+    in walking order, and the wrapped phase step between each neighbouring
+    pair.
+
+    unresolved is set on the partial edge of a walk that stopped at the depth
+    limit; that edge holds every sample the walk evaluated, and no steps.
+    """
+
+    __slots__ = ("pts", "vals", "steps", "unresolved")
+
+    def __init__(
+        self,
+        pts: list[complex],
+        vals: list[tuple[float, float]],
+        steps: list[float],
+        unresolved: _Unresolved | None = None,
+    ) -> None:
+        self.pts = pts
+        self.vals = vals
+        self.steps = steps
+        self.unresolved = unresolved
+
+    def reversed(self) -> _Edge:
+        return _Edge(
+            self.pts[::-1], self.vals[::-1], [-d for d in reversed(self.steps)],
+            self.unresolved,
         )
-    tm = 0.5 * (t0 + t1)
-    fm = _eval_point(q, point_of(tm), stats)
-    return _walk_piece(q, point_of, t0, f0, tm, fm, depth - 1, stats) + _walk_piece(
-        q, point_of, tm, fm, t1, f1, depth - 1, stats
-    )
+
+    def head(self, j: int) -> _Edge:
+        """Samples 0..j."""
+        return _Edge(self.pts[: j + 1], self.vals[: j + 1], self.steps[:j])
+
+    def tail(self, j: int) -> _Edge:
+        """Samples j..end."""
+        return _Edge(self.pts[j:], self.vals[j:], self.steps[j:])
+
+    def join(self, other: _Edge) -> _Edge:
+        """This edge followed by other, which starts where this one ends."""
+        return _Edge(
+            self.pts + other.pts[1:], self.vals + other.vals[1:],
+            self.steps + other.steps, self.unresolved or other.unresolved,
+        )
 
 
-def _walk_segment(
+class _Unresolved(Exception):
+    """A contour piece still rejected after max_depth bisections.
+
+    point is the midpoint of the piece, step its wrapped phase step, and
+    partial the walk's edge up to here, with every sample it evaluated.
+    """
+
+    def __init__(
+        self,
+        point: complex,
+        step: float,
+        pts: list[complex],
+        vals: list[tuple[float, float]],
+    ) -> None:
+        super().__init__(point, step)
+        self.point = point
+        self.step = step
+        self.partial = _Edge(pts, vals, [], self)
+
+    def classify(self, min_mag: float, min_point: complex) -> QuasizeroError:
+        """The error to raise, given the smallest relative |f| on the contour."""
+        if min_mag < BOUNDARY_REL_TOL:
+            return BoundaryZeroError(
+                "phase unresolved near a vanishing |f| on the contour "
+                f"(relative |f| = {min_mag:.3e} at {min_point!r})",
+                point=min_point,
+                magnitude=min_mag,
+            )
+        return DepthExceededError(
+            f"phase step {abs(self.step):.3f} >= pi/2 after exhausting bisection depth "
+            f"near {self.point!r}"
+        )
+
+
+def _walk_edge(
     q: Quasipolynomial,
     point_of: Callable[[float], complex],
     length: float,
-    f0: tuple[float, float],
-    f1: tuple[float, float],
+    start: tuple[complex, tuple[float, float]],
+    end: tuple[complex, tuple[float, float]],
     max_depth: int,
     stats: _WalkStats,
-) -> float:
-    """Phase change over point_of([0, 1]), pre-split to the minimum density."""
+) -> _Edge:
+    """Walk point_of([0, 1]) from start to end, each a (point, value) pair.
+
+    The edge is pre-split into equal pieces no longer than
+    INITIAL_PIECE_LENGTH, and each piece is bisected until _accepted_step
+    accepts it, at most max_depth times.  Raises _Unresolved, with the
+    samples evaluated so far as its partial edge, when a piece is still
+    rejected at that depth.
+    """
     n = max(1, math.ceil(length / INITIAL_PIECE_LENGTH))
-    knots = [i / n for i in range(n + 1)]
-    values = [f0]
-    values.extend(_eval_point(q, point_of(t), stats) for t in knots[1:-1])
-    values.append(f1)
-    return sum(
-        _walk_piece(
-            q, point_of, knots[i], values[i], knots[i + 1], values[i + 1],
-            max_depth, stats,
-        )
-        for i in range(n)
-    )
+    knots, knot_vals = [start[0]], [start[1]]
+    for i in range(1, n):
+        p = point_of(i / n)
+        knots.append(p)
+        knot_vals.append(_eval_point(q, p, stats))
+    knots.append(end[0])
+    knot_vals.append(end[1])
+    steps: list[float] = []
+    # the samples are the knots themselves until a piece needs bisection
+    pts: list[complex] | None = None
+    vals: list[tuple[float, float]] = []
+    for i in range(n):
+        f0, f1 = knot_vals[i], knot_vals[i + 1]
+        d = _accepted_step(f0, f1)
+        if d is not None:
+            steps.append(d)
+            if pts is not None:
+                pts.append(knots[i + 1])
+                vals.append(f1)
+            continue
+        if pts is None:
+            pts, vals = knots[: i + 1], knot_vals[: i + 1]
+        # bisect the piece; pending holds the right ends of its parts still
+        # to walk, the next one last: (parameter, point, value, depth left)
+        t0 = i / n
+        pending = [((i + 1) / n, knots[i + 1], f1, max_depth)]
+        while pending:
+            t1, p1, f1, depth = pending[-1]
+            d = _accepted_step(f0, f1)
+            if d is not None:
+                pending.pop()
+                pts.append(p1)
+                vals.append(f1)
+                steps.append(d)
+                t0, f0 = t1, f1
+            elif depth > 0:
+                tm = 0.5 * (t0 + t1)
+                pm = point_of(tm)
+                pending[-1] = (t1, p1, f1, depth - 1)
+                pending.append((tm, pm, _eval_point(q, pm, stats), depth - 1))
+            else:
+                raise _Unresolved(
+                    point_of(0.5 * (t0 + t1)),
+                    math.remainder(f1[0] - f0[0], math.tau),
+                    pts + [e[1] for e in reversed(pending)] + knots[i + 2 :],
+                    vals + [e[2] for e in reversed(pending)] + knot_vals[i + 2 :],
+                )
+    stats.segments += len(steps)
+    if pts is None:
+        return _Edge(knots, knot_vals, steps)
+    return _Edge(pts, vals, steps)
+
+
+def _segment(p0: complex, p1: complex) -> Callable[[float], complex]:
+    d = p1 - p0
+    return lambda t: p0 + t * d
+
+
+def _phase_sum(edges: Iterable[_Edge]) -> float:
+    return sum(sum(e.steps) for e in edges)
 
 
 def _winding_to_count(total_phase: float) -> int:
@@ -259,6 +378,21 @@ def _winding_to_count(total_phase: float) -> int:
     if nearest < 0:
         raise WindingError(f"negative winding {nearest} for an entire function")
     return int(nearest)
+
+
+def _walk_rect(
+    q: Quasipolynomial, rect: Rect, max_depth: int, stats: _WalkStats
+) -> Iterator[_Edge]:
+    """The four edges of rect, walked one at a time counterclockwise from its
+    bottom-left corner (bottom, right, top, left)."""
+    ends = [(c, _eval_point(q, c, stats)) for c in rect.corners()]
+    for (p0, f0), (p1, f1) in zip(ends, ends[1:] + ends[:1]):
+        try:
+            yield _walk_edge(
+                q, _segment(p0, p1), abs(p1 - p0), (p0, f0), (p1, f1), max_depth, stats
+            )
+        except _Unresolved as err:
+            raise err.classify(stats.min_mag, stats.min_mag_point) from None
 
 
 def count_zeros_rect(
@@ -276,20 +410,7 @@ def count_zeros_rect(
     if max_depth < MIN_MAX_DEPTH:
         raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
     stats = _WalkStats()
-    corners = rect.corners()
-    values = [_eval_point(q, c, stats) for c in corners]
-    total = 0.0
-    for i in range(4):
-        p0, p1 = corners[i], corners[(i + 1) % 4]
-        f0, f1 = values[i], values[(i + 1) % 4]
-
-        def point_of(t: float, p0: complex = p0, p1: complex = p1) -> complex:
-            return p0 + t * (p1 - p0)
-
-        total += _walk_segment(
-            q, point_of, abs(p1 - p0), f0, f1, max_depth, stats
-        )
-    count = _winding_to_count(total)
+    count = _winding_to_count(_phase_sum(_walk_rect(q, rect, max_depth, stats)))
     return ContourCount(count, rect, stats.segments, stats.min_mag)
 
 
@@ -309,8 +430,8 @@ def count_zeros_disk(
         return disk.center + disk.radius * cmath.exp(1j * t)
 
     anchors = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau]
-    values = [_eval_point(q, point_of(t), stats) for t in anchors[:4]]
-    values.append(values[0])
+    ends = [(p, _eval_point(q, p, stats)) for p in map(point_of, anchors[:4])]
+    ends.append(ends[0])
     quarter_arc = 0.5 * math.pi * disk.radius
     total = 0.0
     for i in range(4):
@@ -319,11 +440,87 @@ def count_zeros_disk(
         def arc_point(t: float, t_lo: float = t_lo, t_hi: float = t_hi) -> complex:
             return point_of(t_lo + t * (t_hi - t_lo))
 
-        total += _walk_segment(
-            q, arc_point, quarter_arc, values[i], values[i + 1], max_depth, stats
-        )
+        try:
+            arc = _walk_edge(q, arc_point, quarter_arc, ends[i], ends[i + 1], max_depth, stats)
+        except _Unresolved as err:
+            raise err.classify(stats.min_mag, stats.min_mag_point) from None
+        total += sum(arc.steps)
     count = _winding_to_count(total)
     return ContourCount(count, disk, stats.segments, stats.min_mag)
+
+
+def _split(
+    q: Quasipolynomial,
+    box: Rect,
+    edges: list[_Edge],
+    cx: float,
+    cy: float,
+    max_depth: int,
+    stats: _WalkStats,
+) -> list[tuple[Rect, int, list[_Edge]]]:
+    """The children of box split at (cx, cy), with their counts and edges.
+
+    edges are the walked edges of box, counterclockwise from its bottom-left
+    corner; each child's edges come back in the same order, and the children
+    in the order of Rect.split_at.  f is evaluated at the centre and at the
+    four cut points; of the parent's edges only the piece holding a cut point
+    is walked again, in two halves.  The four half cross lines are walked
+    once each and shared by the two children beside them.  A piece still
+    rejected at the depth limit fails the first child whose contour holds
+    it, as BoundaryZeroError when the smallest relative |f| over that
+    child's whole contour is below BOUNDARY_REL_TOL and as
+    DepthExceededError otherwise.
+    """
+    rects = box.split_at(cx, cy)
+
+    def walk(
+        start: tuple[complex, tuple[float, float]],
+        end: tuple[complex, tuple[float, float]],
+    ) -> _Edge:
+        a, b = start[0], end[0]
+        try:
+            return _walk_edge(q, _segment(a, b), abs(b - a), start, end, max_depth, stats)
+        except _Unresolved as err:
+            return err.partial
+
+    def cut(edge: _Edge, m: complex) -> tuple[_Edge, _Edge, tuple[complex, tuple[float, float]]]:
+        """edge split at the point m on it, and the sample at m."""
+        along = (lambda p: p.real) if edge.pts[0].imag == m.imag else (lambda p: p.imag)
+        sign = 1.0 if along(edge.pts[-1]) > along(edge.pts[0]) else -1.0
+        j = bisect.bisect_right(edge.pts, sign * along(m), key=lambda p: sign * along(p)) - 1
+        if edge.pts[j] == m:
+            return edge.head(j), edge.tail(j), (m, edge.vals[j])
+        sample = (m, _eval_point(q, m, stats))
+        before = walk((edge.pts[j], edge.vals[j]), sample)
+        after = walk(sample, (edge.pts[j + 1], edge.vals[j + 1]))
+        return edge.head(j).join(before), after.join(edge.tail(j + 1)), sample
+
+    bottom, right, top, left = edges
+    c = complex(cx, cy)
+    centre = (c, _eval_point(q, c, stats))
+    b0, b1, mb = cut(bottom, complex(cx, box.im_lo))
+    r0, r1, mr = cut(right, complex(box.re_hi, cy))
+    t0, t1, mt = cut(top, complex(cx, box.im_hi))
+    l0, l1, ml = cut(left, complex(box.re_lo, cy))
+    down, east, up, west = walk(mb, centre), walk(centre, mr), walk(centre, mt), walk(ml, centre)
+    sides = (
+        [b0, down, west.reversed(), l1],
+        [b1, r0, east.reversed(), down.reversed()],
+        [west, up, t1, l0],
+        [east, r1, t0, up.reversed()],
+    )
+    for child in sides:
+        failed = next((e.unresolved for e in child if e.unresolved), None)
+        if failed is not None:
+            mag, point = min(
+                ((v[1], p) for e in child for p, v in zip(e.pts, e.vals)),
+                key=lambda mp: mp[0],
+            )
+            raise failed.classify(mag, point)
+    return [
+        (rect, _winding_to_count(_phase_sum(child)), child)
+        for rect, child in zip(rects, sides)
+    ]
 
 
 def isolate_zeros(
@@ -336,19 +533,26 @@ def isolate_zeros(
     """Quadtree isolation: disjoint boxes of diameter <= eps, one zero each.
 
     Boxes counting 0 are dropped; boxes counting 1 with diameter <= eps are
-    returned; everything else is split into four children.  When a zero lands
-    on an interior split line (BoundaryZeroError from a child count), the
-    split point is retried at a fixed sequence of relative jitters before the
-    error is allowed to escape.  The union of returned boxes accounts for
-    every zero of the root rectangle.
+    returned; everything else is split into four children.  Every box keeps
+    its walked edges, so a split samples only its cross lines and the pieces
+    cut by them (see _split).  When a zero lands on an interior split line
+    (BoundaryZeroError or DepthExceededError from a child), the split point
+    is retried at a fixed sequence of relative jitters before the error is
+    allowed to escape.  The union of returned boxes accounts for every zero
+    of the root rectangle.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidQueryError(f"eps must be finite and > 0, got {eps!r}")
-    root = count_zeros_rect(q, rect, max_depth)
+    if max_depth < MIN_MAX_DEPTH:
+        raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
+    stats = _WalkStats()
+    root_edges = list(_walk_rect(q, rect, max_depth, stats))
     out: list[Rect] = []
-    stack: list[tuple[Rect, int, int]] = [(rect, root.count, 0)]
+    stack: list[tuple[Rect, int, int, list[_Edge]]] = [
+        (rect, _winding_to_count(_phase_sum(root_edges)), 0, root_edges)
+    ]
     while stack:
-        box, count, level = stack.pop()
+        box, count, level, edges = stack.pop()
         if count == 0:
             continue
         if count == 1 and box.diameter <= eps:
@@ -366,9 +570,8 @@ def isolate_zeros(
         for dx, dy in _SPLIT_JITTER:
             cx = box.center.real + dx * box.width
             cy = box.center.imag + dy * box.height
-            children = box.split_at(cx, cy)
             try:
-                counts = [count_zeros_rect(q, ch, max_depth).count for ch in children]
+                children = _split(q, box, edges, cx, cy, max_depth, stats)
             except (BoundaryZeroError, DepthExceededError) as err:
                 last_err = err
                 continue
@@ -376,11 +579,12 @@ def isolate_zeros(
         else:
             assert last_err is not None
             raise last_err
+        counts = [child_count for _, child_count, _ in children]
         if sum(counts) != count:
             raise WindingError(
                 f"child counts {counts} do not add up to parent count {count}"
             )
-        for child, child_count in zip(children, counts):
-            stack.append((child, child_count, level + 1))
+        for child, child_count, child_edges in children:
+            stack.append((child, child_count, level + 1, child_edges))
     out.sort(key=lambda b: (b.center.imag, b.center.real))
     return out

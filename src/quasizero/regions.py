@@ -43,34 +43,6 @@ class RegionLabel:
     j: int
 
 
-@dataclass(frozen=True)
-class RegionQuery:
-    """Bundle of region parameters as they arrive from the CLI.
-
-    j and delta are optional because only some operations need them.
-    """
-
-    s: int
-    h: float
-    r: float
-    j: int | None = None
-    delta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.s not in (1, 2):
-            raise InvalidQueryError(f"S must be 1 or 2, got {self.s!r}")
-        if self.j not in (None, 1, 2):
-            raise InvalidQueryError(f"j must be 1 or 2, got {self.j!r}")
-        if not (self.h >= 0 and math.isfinite(self.h)):
-            raise InvalidQueryError(f"h must be finite and >= 0, got {self.h!r}")
-        if not (self.r >= 0 and math.isfinite(self.r)):
-            raise InvalidQueryError(f"R must be finite and >= 0, got {self.r!r}")
-        if self.delta is not None and not (0 < self.delta < math.pi / 2):
-            raise InvalidQueryError(
-                f"delta must lie in (0, pi/2), got {self.delta!r}"
-            )
-
-
 def half_plane(lam: complex) -> int:
     """j flag of a point: 1 below the real axis, 2 on or above it."""
     return 1 if lam.imag < 0 else 2

@@ -80,3 +80,27 @@ def polygon_signed_area(vertices: Sequence[complex]) -> float:
         r = vertices[(i + 1) % n]
         total += p.real * r.imag - r.real * p.imag
     return 0.5 * total
+
+
+def lambert_w_zeros(k: int, a: complex, im_max: float) -> list[complex]:
+    """Every zero of e^lambda + a*lambda^k with |Im lambda| <= im_max.
+
+    Each zero is -k*W_m(-1/(k*omega)) for a root omega of omega^k = -a and a
+    branch m of the Lambert W function (Corless et al. 1996), computed with
+    mpmath at 30 digits and checked against f itself.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    zeros = []
+    with mpmath.workdps(30):
+        a_mp = mpmath.mpc(a)
+        branches = int(im_max / (2 * math.pi * k)) + 2
+        for j in range(k):
+            omega = mpmath.root(-a_mp, k, j)
+            for m in range(-branches, branches + 1):
+                lam = -k * mpmath.lambertw(-1 / (k * omega), m)
+                if abs(lam.imag) > im_max:
+                    continue
+                residual = abs(mpmath.exp(lam) + a_mp * lam**k) / abs(a_mp * lam**k)
+                assert residual < 1e-20, f"{lam} is not a zero"
+                zeros.append(complex(lam))
+    return zeros

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
+
+import quasizero.bounds as bounds
 
 from quasizero import (
     DeltaTooLargeError,
@@ -27,7 +31,12 @@ from quasizero import (
     verify_eq4,
 )
 from quasizero import Rect
-from conftest import bisect_root, point_in_polygon, polygon_signed_area
+from conftest import (
+    bisect_root,
+    lambert_w_zeros,
+    point_in_polygon,
+    polygon_signed_area,
+)
 
 Q11 = Quasipolynomial(1, 1)
 
@@ -142,6 +151,37 @@ class TestEstimateCDelta:
             estimate_c_delta(
                 Q11, h=2.0, r=1.0, delta=3.2, nu_hi=30, n=100, seed=0
             )
+
+    def test_worst_point_clear_of_every_zero(self):
+        # The zero 10.4843-34.6197i (chain index -4) has modulus 36.172,
+        # just outside a small-zero disk of fixed radius 2*pi*(nu_min + 0.75)
+        # = 36.128; with that disk it went unpunctured and the worst sampled
+        # point fell within delta of it.
+        k, a, delta, nu_hi = 3, complex(-0.6119490585488511, -0.4428120183686167), 0.1, 37
+        report = estimate_c_delta(
+            Quasipolynomial(k, a), h=1.5704695592471318, r=1.0, delta=delta,
+            nu_hi=nu_hi, n=500, seed=1872928758,
+        )
+        zeros = lambert_w_zeros(k, a, math.tau * nu_hi + 1.0)
+        assert min(abs(z - complex(10.4843, -34.6197)) for z in zeros) < 1e-4
+        assert min(abs(report.worst_point - z) for z in zeros) > delta
+
+    def test_windowed_distances_match_the_full_matrix(self):
+        rng = random.Random(3)
+        # zeros in clusters of nearly equal Im, so windows hold several
+        zeros = sorted(
+            (complex(rng.uniform(-3, 3), 2 * math.pi * i + rng.uniform(-0.05, 0.05))
+             for i in range(-20, 21) for _ in range(3)),
+            key=lambda z: z.imag,
+        )
+        zs = np.array(zeros)
+        lam = np.array([complex(rng.uniform(-3, 3), rng.uniform(-130, 130))
+                        for _ in range(4000)])
+        for delta in (0.05, 0.5, 2.0):
+            full = np.abs(lam[:, None] - zs[None, :]).min(axis=1) > delta
+            assert np.array_equal(bounds._clear_of(lam, zs, delta), full)
+        brute = min(abs(a - b) for i, a in enumerate(zeros) for b in zeros[i + 1 :])
+        assert bounds._min_gap(zeros) == brute
 
     def test_validation(self):
         with pytest.raises(InvalidIndexError):
