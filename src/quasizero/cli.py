@@ -151,24 +151,23 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit_json(payload: dict[str, Any], out) -> None:
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-
-
-def _envelope(
-    command: str,
-    config: dict[str, Any],
-    results: Any,
-    timings: dict[str, float] | None,
-) -> dict[str, Any]:
-    return {
+def _emit_envelope(args, config: dict[str, Any], results: Any, elapsed: float) -> None:
+    """Write the JSON envelope; timings is null unless --timings was passed."""
+    payload = {
         "schema": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "config": config,
         "results": results,
-        "timings": timings,
+        "timings": {"elapsed_seconds": elapsed} if args.timings else None,
     }
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+def _emit_elapsed(args, elapsed: float) -> None:
+    """The text formats' timing line, written only with --timings."""
+    if args.timings:
+        sys.stdout.write(f"# elapsed_seconds {elapsed}\n")
 
 
 def _c(z: complex) -> dict[str, float]:
@@ -306,13 +305,9 @@ def cmd_zeros(args) -> int:
                 "max_deviation_from_nu_10": spacing.max_deviation_from_nu_10,
                 "decay_ratio": spacing.decay_ratio,
             }
-        payload = _envelope(
-            "zeros",
-            {"k": q.k, "a": _c(q.a), "nu_lo": lo, "nu_hi": hi},
-            results,
-            {"elapsed_seconds": elapsed} if args.timings else None,
+        _emit_envelope(
+            args, {"k": q.k, "a": _c(q.a), "nu_lo": lo, "nu_hi": hi}, results, elapsed
         )
-        _emit_json(payload, sys.stdout)
         return 0
 
     out = sys.stdout
@@ -334,8 +329,7 @@ def cmd_zeros(args) -> int:
             )
         if spacing.decay_ratio is not None:
             out.write(f"# spacing decay_ratio {fmt(spacing.decay_ratio)}\n")
-    if args.timings:
-        out.write(f"# elapsed_seconds {elapsed}\n")
+    _emit_elapsed(args, elapsed)
     return 0
 
 
@@ -357,24 +351,22 @@ def cmd_count(args) -> int:
     elapsed = time.perf_counter() - t0
 
     if args.format == "json":
-        payload = _envelope(
-            "count",
+        _emit_envelope(
+            args,
             {"k": q.k, "a": _c(q.a), **region, "max_depth": args.max_depth},
             {
                 "count": result.count,
                 "edge_segments": result.edge_segments,
                 "min_boundary_ratio": result.min_boundary_mag,
             },
-            {"elapsed_seconds": elapsed} if args.timings else None,
+            elapsed,
         )
-        _emit_json(payload, sys.stdout)
         return 0
 
     sys.stdout.write(f"count: {result.count}\n")
     sys.stdout.write(f"edge_segments: {result.edge_segments}\n")
     sys.stdout.write(f"min_boundary_ratio: {fmt(result.min_boundary_mag)}\n")
-    if args.timings:
-        sys.stdout.write(f"# elapsed_seconds {elapsed}\n")
+    _emit_elapsed(args, elapsed)
     return 0
 
 
@@ -418,8 +410,8 @@ def cmd_bounds(args) -> int:
         "stability_ratio": report.stability_ratio,
         "passed": report.passed,
     }
-    payload = _envelope(
-        "bounds",
+    _emit_envelope(
+        args,
         {
             "k": q.k, "a": _c(q.a), "ineq": args.ineq, "h": h, "R": args.R,
             "samples": args.samples, "seed": seed, "window": args.window,
@@ -427,9 +419,8 @@ def cmd_bounds(args) -> int:
             "printed_set": args.printed_set,
         },
         results,
-        {"elapsed_seconds": elapsed} if args.timings else None,
+        elapsed,
     )
-    _emit_json(payload, sys.stdout)
     return 0 if report.passed else 1
 
 
@@ -443,19 +434,17 @@ def cmd_geometry(args) -> int:
         radius = sector_radius(q, args.S, args.h, args.delta)
         elapsed = time.perf_counter() - t0
         if args.format == "json":
-            payload = _envelope(
-                "geometry",
+            _emit_envelope(
+                args,
                 {"k": q.k, "a": _c(q.a), "what": "sector", "S": args.S,
                  "h": args.h, "delta": args.delta},
                 {"sector_radius": radius},
-                {"elapsed_seconds": elapsed} if args.timings else None,
+                elapsed,
             )
-            _emit_json(payload, sys.stdout)
         else:
             sys.stdout.write("sector_radius\n")
             sys.stdout.write(f"{fmt(radius)}\n")
-            if args.timings:
-                sys.stdout.write(f"# elapsed_seconds {elapsed}\n")
+            _emit_elapsed(args, elapsed)
         return 0
 
     if args.curve == "gamma":
@@ -465,20 +454,18 @@ def cmd_geometry(args) -> int:
         points = gamma_polyline(q, args.S, args.j, args.h, im_lo, im_hi, args.n)
         elapsed = time.perf_counter() - t0
         if args.format == "json":
-            payload = _envelope(
-                "geometry",
+            _emit_envelope(
+                args,
                 {"k": q.k, "a": _c(q.a), "what": "gamma", "S": args.S, "j": args.j,
                  "h": args.h, "im_lo": im_lo, "im_hi": im_hi, "n": args.n},
                 {"points": [[p.real, p.imag] for p in points]},
-                {"elapsed_seconds": elapsed} if args.timings else None,
+                elapsed,
             )
-            _emit_json(payload, sys.stdout)
         else:
             sys.stdout.write("re,im\n")
             for p in points:
                 sys.stdout.write(f"{fmt(p.real)},{fmt(p.imag)}\n")
-            if args.timings:
-                sys.stdout.write(f"# elapsed_seconds {elapsed}\n")
+            _emit_elapsed(args, elapsed)
         return 0
 
     if args.nu is None or args.h is None:
@@ -487,8 +474,8 @@ def cmd_geometry(args) -> int:
     elapsed = time.perf_counter() - t0
     diag_limit = math.sqrt(4.0 * math.pi**2 + 4.0 * args.h**2)
     if args.format == "json":
-        payload = _envelope(
-            "geometry",
+        _emit_envelope(
+            args,
             {"k": q.k, "a": _c(q.a), "what": "quadrangle", "nu": args.nu,
              "h": args.h},
             {
@@ -496,17 +483,15 @@ def cmd_geometry(args) -> int:
                 "diag": geom.diag,
                 "diag_limit": diag_limit,
             },
-            {"elapsed_seconds": elapsed} if args.timings else None,
+            elapsed,
         )
-        _emit_json(payload, sys.stdout)
     else:
         sys.stdout.write("corner,re,im\n")
         for i, c in enumerate(geom.corners, start=1):
             sys.stdout.write(f"{i},{fmt(c.real)},{fmt(c.imag)}\n")
         sys.stdout.write(f"# diag {fmt(geom.diag)}\n")
         sys.stdout.write(f"# diag_limit {fmt(diag_limit)}\n")
-        if args.timings:
-            sys.stdout.write(f"# elapsed_seconds {elapsed}\n")
+        _emit_elapsed(args, elapsed)
     return 0
 
 

@@ -21,14 +21,14 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     Quasipolynomial,
-    eval_f,
-    eval_fprime,
-    relative_magnitude,
-    sigma,
+    _log_or_none,
+    _relative_magnitude,
+    _require_finite,
+    _two_term_eval,
 )
 from .errors import (
     CertificationError,
@@ -121,25 +121,35 @@ def asymptotic_guess(q: Quasipolynomial, nu: int) -> complex:
     if nu == 0:
         raise InvalidIndexError("nu = 0 does not index a chain zero")
     if nu < 0:
-        return asymptotic_guess(q.conjugate(), -nu).conjugate()
-    re = math.log(abs(q.a)) + q.k * math.log(TWO_PI * nu)
+        return _positive_guess(q.conjugate(), -nu).conjugate()
+    return _positive_guess(q, nu)
+
+
+def _positive_guess(q: Quasipolynomial, nu: int) -> complex:
+    """asymptotic_guess for nu >= 1, without argument checks."""
+    re = q.log_abs_a + q.k * math.log(TWO_PI * nu)
     im = TWO_PI * nu + math.pi + q.arg_a + q.k * math.pi / 2.0
     return complex(re, im)
 
 
-def _fixedpoint_with_iters(
-    q: Quasipolynomial, nu: int, max_iter: int, tol: float
-) -> tuple[complex, int]:
+def _fixedpoint_branch(
+    q: Quasipolynomial, mirror: Quasipolynomial, nu: int, max_iter: int, tol: float
+) -> tuple[complex, complex, int]:
+    """(asymptotic seed, fixed-point zero, steps taken) for branch nu != 0.
+
+    mirror is q.conjugate(); branch nu < 0 is the conjugated branch -nu of it.
+    """
     if nu < 0:
-        lam, iters = _fixedpoint_with_iters(q.conjugate(), -nu, max_iter, tol)
-        return lam.conjugate(), iters
+        seed, lam, iters = _fixedpoint_branch(mirror, q, -nu, max_iter, tol)
+        return seed.conjugate(), lam.conjugate(), iters
+    seed = _positive_guess(q, nu)
     anchor = 2j * math.pi * nu
     const = q.log_abs_a + 1j * (q.arg_a + math.pi)
-    xi = asymptotic_guess(q, nu) - anchor
+    xi = seed - anchor
     for iteration in range(1, max_iter + 1):
         nxt = const + q.k * cmath.log(anchor + xi)
         if abs(nxt - xi) < tol:
-            return anchor + nxt, iteration
+            return seed, anchor + nxt, iteration
         xi = nxt
     raise NotConvergedError(
         f"fixed-point refinement for nu = {nu} did not converge in {max_iter} steps",
@@ -167,16 +177,19 @@ def fixedpoint_refine(
         raise InvalidIndexError(
             f"|nu| must be >= nu_min = {nu_min(q)}, got {nu}"
         )
-    return _fixedpoint_with_iters(q, nu, max_iter, tol)[0]
+    return _fixedpoint_branch(q, q.conjugate(), nu, max_iter, tol)[1]
 
 
-def _newton_step(q: Quasipolynomial, lam: complex) -> complex:
-    """f/f' with the dominant term divided out when far from the zero curve."""
+def _newton_step(q: Quasipolynomial, lam: complex, log_lam: complex | None) -> complex:
+    """f/f' with the dominant term divided out when far from the zero curve.
+
+    lam is finite and log_lam is Log lam (None at lam = 0).
+    """
     if lam != 0:
-        sig1 = sigma(q, 1, lam)
+        sig1 = lam.real - q.k * math.log(abs(lam))  # sigma_1
         if abs(sig1) > _STABILIZED_SIGMA:
             t_exp = lam
-            t_alg = cmath.log(q.a) + q.k * cmath.log(lam)
+            t_alg = q.log_a + q.k * log_lam
             if t_exp.real >= t_alg.real:
                 u = cmath.exp(t_alg - t_exp)  # a*lambda^k / e^lambda
                 numerator = 1.0 + u
@@ -188,23 +201,22 @@ def _newton_step(q: Quasipolynomial, lam: complex) -> complex:
             if denominator == 0:
                 raise DerivativeVanishedError(f"f' vanished near {lam!r}")
             return numerator / denominator
-    f = eval_f(q, lam)
-    fp = eval_fprime(q, lam)
+    f = _two_term_eval(q.a, q.log_a, q.k, lam, log_lam)
+    fp = _two_term_eval(q.a * q.k, q.log_ak, q.k - 1, lam, log_lam)
     if abs(fp) < 1e-300:
         raise DerivativeVanishedError(f"|f'({lam!r})| = {abs(fp):.3e}")
     return f / fp
 
 
-def _relative_fprime(q: Quasipolynomial, lam: complex) -> float:
+def _relative_fprime(q: Quasipolynomial, lam: complex, log_lam: complex | None) -> float:
     """|f'| relative to the larger of its two terms (degeneracy detector)."""
     if lam == 0:
-        return abs(eval_fprime(q, lam))
-    coeff = q.a * q.k
+        return abs(_two_term_eval(q.a * q.k, q.log_ak, q.k - 1, lam, log_lam))
     t_exp = lam
     if q.k == 1:
-        t_alg = cmath.log(coeff)
+        t_alg = q.log_ak
     else:
-        t_alg = cmath.log(coeff) + (q.k - 1) * cmath.log(lam)
+        t_alg = q.log_ak + (q.k - 1) * log_lam
     if t_exp.real >= t_alg.real:
         dom, sub = t_exp, t_alg
     else:
@@ -227,9 +239,10 @@ def newton_refine(
     DegenerateZeroError when the converged zero has relative |f'| < 1e-8
     (the zero may not be simple).
     """
-    seed = complex(seed)
+    seed = _require_finite(seed)
     lam = seed
-    residual = relative_magnitude(q, lam)
+    log_lam = _log_or_none(lam)
+    residual = _relative_magnitude(q, lam, log_lam)
     iters = 0
     while residual >= tol:
         if iters >= max_iter:
@@ -239,15 +252,17 @@ def newton_refine(
                 last=lam,
                 iterations=iters,
             )
-        lam = lam - _newton_step(q, lam)
+        lam = lam - _newton_step(q, lam, log_lam)
         if abs(lam - seed) > NEWTON_TRUST_RADIUS:
             raise DivergedError(
                 f"iterate {lam!r} left the trust disk of radius "
                 f"{NEWTON_TRUST_RADIUS} around seed {seed!r}"
             )
         iters += 1
-        residual = relative_magnitude(q, lam)
-    if _relative_fprime(q, lam) < DEGENERATE_FPRIME_TOL:
+        lam = _require_finite(lam)
+        log_lam = _log_or_none(lam)
+        residual = _relative_magnitude(q, lam, log_lam)
+    if _relative_fprime(q, lam, log_lam) < DEGENERATE_FPRIME_TOL:
         raise DegenerateZeroError(
             f"zero at {lam!r} has relative |f'| < {DEGENERATE_FPRIME_TOL:g}; "
             "it may have multiplicity > 1"
@@ -287,13 +302,13 @@ def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroReco
             "skipping %d chain indices with |nu| < %d (%d..%d); use small_zeros "
             "for the inner disk", len(skipped), floor, skipped[0], skipped[-1],
         )
+    mirror = q.conjugate()
     records: list[ZeroRecord] = []
     for nu in range(nu_lo, nu_hi + 1):
         if abs(nu) < floor:
             continue
-        guess = asymptotic_guess(q, nu)
-        fp_lam, fp_iters = _fixedpoint_with_iters(
-            q, nu, FIXEDPOINT_MAX_ITER, FIXEDPOINT_TOL
+        guess, fp_lam, fp_iters = _fixedpoint_branch(
+            q, mirror, nu, FIXEDPOINT_MAX_ITER, FIXEDPOINT_TOL
         )
         rec = newton_refine(q, guess)
         if abs(rec.refined - fp_lam) > _REFINER_AGREEMENT_TOL:
@@ -301,7 +316,16 @@ def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroReco
                 f"refiners disagree at nu = {nu}: Newton {rec.refined!r} vs "
                 f"fixed point {fp_lam!r}"
             )
-        records.append(replace(rec, nu=nu, fixedpoint_iters=fp_iters))
+        records.append(
+            ZeroRecord(
+                nu=nu,
+                guess=rec.guess,
+                refined=rec.refined,
+                residual=rec.residual,
+                newton_iters=rec.newton_iters,
+                fixedpoint_iters=fp_iters,
+            )
+        )
     records.sort(key=lambda r: r.refined.imag)
     for a, b in zip(records, records[1:]):
         d = abs(a.refined - b.refined)
