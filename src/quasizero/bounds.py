@@ -12,6 +12,11 @@ that identical seeds reproduce reports bit for bit:
   estimate of that constant, reported (not asserted against any external
   value) together with a doubled-sample stability check.
 
+All three ratios are |1 + e^u| from one batched kernel, _ratio_batch.  Where
+one term dominates by far (Re u < -42, most samples of eq3 and eq4) the ratio
+is exactly 1.0 in binary64; those saturated samples get 1.0 without the
+complex log and exp, so every ratio equals the full evaluation bit for bit.
+
 The quadrangle helper cuts the band into cells by horizontal lines placed
 pi + k*pi/2 + arg(a) below consecutive refined zeros; each cell contains
 exactly one chain zero and its diagonal approaches sqrt(4*pi^2 + 4*h^2).
@@ -20,6 +25,7 @@ exactly one chain zero and its diagonal approaches sqrt(4*pi^2 + 4*h^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +54,14 @@ MAX_CONSECUTIVE_REJECTS = 100_000
 DEFAULT_WINDOW = 1000.0
 
 _CHUNK = 8192
+
+#: Re u below which |1 + e^u| is exactly 1.0: e^-42 < 2^-60, so the real part
+#: 1 + Re e^u rounds to 1, the imaginary part vanishes inside abs, and abs
+#: gives 1.0 even after Re u is clipped to -745
+_SATURATED_U = -42.0
+
+#: smallest normal float; below it x^2 + y^2 loses relative precision
+_RR_NORMAL = sys.float_info.min
 
 #: the small-zero disk of estimate_c_delta ends this far inside the outer
 #: chain zero of index +-nu_min, and moves inward by as much per retry
@@ -100,15 +114,14 @@ def _rejection_sample(
     x_lo, x_hi, y_lo, y_hi = hull
     if not (x_lo < x_hi and y_lo < y_hi):
         raise EmptyRegionError(f"degenerate sampling hull for {what}")
-    kept: list[np.ndarray] = []
+    lam = np.empty(n, dtype=complex)
     taken = 0
     consecutive_rejects = 0
     while taken < n:
         xs = rng.uniform(x_lo, x_hi, _CHUNK)
         ys = rng.uniform(y_lo, y_hi, _CHUNK)
-        mask = accept(xs, ys)
-        hits = int(mask.sum())
-        if hits == 0:
+        hits = np.flatnonzero(accept(xs, ys))[: n - taken]
+        if hits.size == 0:
             consecutive_rejects += _CHUNK
             if consecutive_rejects >= MAX_CONSECUTIVE_REJECTS:
                 raise EmptyRegionError(
@@ -116,33 +129,58 @@ def _rejection_sample(
                 )
             continue
         consecutive_rejects = 0
-        kept.append((xs + 1j * ys)[mask])
-        taken += hits
-    return np.concatenate(kept)[:n]
+        lam.real[taken : taken + hits.size] = xs[hits]
+        lam.imag[taken : taken + hits.size] = ys[hits]
+        taken += hits.size
+    return lam
 
 
-def _sigma1(q: Quasipolynomial, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    rr = xs * xs + ys * ys
-    return xs - 0.5 * q.k * np.log(rr)
+def _sigma1(
+    q: Quasipolynomial, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x^2 + y^2, sigma_1 = x - (k/2) ln(x^2 + y^2)) at the points x + iy."""
+    with np.errstate(all="ignore"):
+        rr = xs * xs + ys * ys
+        return rr, xs - 0.5 * q.k * np.log(rr)
 
 
-def _ratio_alg_batch(q: Quasipolynomial, lam: np.ndarray) -> np.ndarray:
-    """Vectorized |1 + e^(lambda - k Log lambda)/a| with the exponent clipped.
+def _saturated(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
+    """Mask of the points where _ratio_batch is exactly 1.0 without evaluation.
 
-    Clipping only fires where the true ratio is astronomically large or
-    saturated at 1, never near a minimum, so min/argmin selection is exact.
+    Re u is sigma_1 - ln|a| for the algebraic ratio and ln|a| - sigma_1 for
+    the exponential one.  The real-valued estimate is trusted only where
+    x^2 + y^2 is a normal float: there it differs from the Re u that the full
+    evaluation computes by rounding errors far below the 4 e-folds between
+    _SATURATED_U and ln 2^-54, where 1 + e^u would stop rounding to 1.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        u = lam - q.k * np.log(lam) - np.log(complex(q.a))
-        u = np.clip(u.real, -745.0, 700.0) + 1j * u.imag
-        return np.abs(1.0 + np.exp(u))
+    rr, sig = _sigma1(q, lam.real, lam.imag)
+    est = sig - q.log_abs_a if alg else q.log_abs_a - sig
+    return (est < _SATURATED_U) & (rr >= _RR_NORMAL) & (rr < math.inf)
 
 
-def _ratio_exp_batch(q: Quasipolynomial, lam: np.ndarray) -> np.ndarray:
+def _ratio_batch(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
+    """Vectorized |1 + e^u| with the exponent clipped, at every point.
+
+    u is lambda - k Log lambda - Log a for the algebraic ratio (alg, the
+    batched ratio_alg) and k Log lambda + Log a - lambda for the exponential
+    one (ratio_exp).  Points where Re u is provably below _SATURATED_U get
+    exactly 1.0 and are not evaluated.  Clipping only fires where the true
+    ratio is astronomically large or saturated at 1, never near a minimum, so
+    min/argmin selection is exact.
+    """
+    saturated = _saturated(q, lam, alg)
+    live = np.flatnonzero(~saturated) if saturated.any() else slice(None)
+    part = lam[live]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        u = q.k * np.log(lam) + np.log(complex(q.a)) - lam
+        if alg:
+            u = part - q.k * np.log(part) - np.log(complex(q.a))
+        else:
+            u = q.k * np.log(part) + np.log(complex(q.a)) - part
         u = np.clip(u.real, -745.0, 700.0) + 1j * u.imag
-        return np.abs(1.0 + np.exp(u))
+        vals = np.abs(1.0 + np.exp(u))
+    ratios = np.ones(lam.shape)
+    ratios[live] = vals
+    return ratios
 
 
 def _finish_report(
@@ -199,14 +237,12 @@ def verify_eq3(
     w2, r2 = window * window, r * r
 
     def accept(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rr = xs * xs + ys * ys
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sig = xs - 0.5 * q.k * np.log(rr)
+        rr, sig = _sigma1(q, xs, ys)
         return (rr <= w2) & (rr > r2) & (sig < -h)
 
     rng = _philox(seed)
     lam = _rejection_sample(rng, (-window, window, -window, window), accept, n, "T1")
-    ratios = _ratio_alg_batch(q, lam)
+    ratios = _ratio_batch(q, lam, alg=True)
     floor = 1.0 - math.exp(-h) / abs(q.a)
     return _finish_report(
         "eq3", q, lam, ratios, HALF_THRESHOLD, seed, ratio_alg, analytic_floor=floor
@@ -243,16 +279,18 @@ def verify_eq4(
     w2, r2 = window * window, r * r
 
     def accept(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rr = xs * xs + ys * ys
-        with np.errstate(divide="ignore", invalid="ignore"):
-            klog = 0.5 * q.k * np.log(rr)
-            sig = xs + klog if printed_set else xs - klog
+        if printed_set:
+            rr = xs * xs + ys * ys
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sig = xs + 0.5 * q.k * np.log(rr)
+        else:
+            rr, sig = _sigma1(q, xs, ys)
         return (rr <= w2) & (rr > r2) & (sig > h)
 
     rng = _philox(seed)
     region = "sigma_2 > h" if printed_set else "sigma_1 > h"
     lam = _rejection_sample(rng, (-window, window, -window, window), accept, n, region)
-    ratios = _ratio_exp_batch(q, lam)
+    ratios = _ratio_batch(q, lam, alg=False)
     ident = "eq4-printed" if printed_set else "eq4"
     return _finish_report(ident, q, lam, ratios, HALF_THRESHOLD, seed, ratio_exp)
 
@@ -371,9 +409,7 @@ def estimate_c_delta(
     r2 = r * r
 
     def accept(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rr = xs * xs + ys * ys
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sig = xs - 0.5 * q.k * np.log(rr)
+        rr, sig = _sigma1(q, xs, ys)
         ok = (np.abs(ys) <= y_max) & (rr > r2) & (np.abs(sig) <= h)
         if ok.any():
             ok[ok] = _clear_of(xs[ok] + 1j * ys[ok], zs, delta)
@@ -385,7 +421,7 @@ def estimate_c_delta(
         lam = _rejection_sample(
             _philox(seed, stream), hull, accept, count, "punctured band"
         )
-        return lam, _ratio_alg_batch(q, lam)
+        return lam, _ratio_batch(q, lam, alg=True)
 
     lam, ratios = run(0, n)
     lam2, ratios2 = run(1, 2 * n)

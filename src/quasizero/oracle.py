@@ -172,7 +172,7 @@ def _phase_and_relmag(q: Quasipolynomial, lam: complex) -> tuple[float, float]:
     if lam == 0:
         return 0.0, 1.0  # f(0) = 1
     t_exp = lam
-    t_alg = cmath.log(q.a) + q.k * cmath.log(lam)
+    t_alg = q.log_a + q.k * cmath.log(lam)
     if t_exp.real >= t_alg.real:
         dom, sub = t_exp, t_alg
     else:

@@ -194,6 +194,167 @@ class TestEstimateCDelta:
             estimate_c_delta(q, h=1.0, r=1.0, delta=0.5, nu_hi=30, n=100, seed=0)
 
 
+def _reference_ratio_alg_batch(q, lam):
+    """The separate algebraic-ratio kernel that _ratio_batch replaced."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        u = lam - q.k * np.log(lam) - np.log(complex(q.a))
+        u = np.clip(u.real, -745.0, 700.0) + 1j * u.imag
+        return np.abs(1.0 + np.exp(u))
+
+
+def _reference_ratio_exp_batch(q, lam):
+    """The separate exponential-ratio kernel that _ratio_batch replaced."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        u = q.k * np.log(lam) + np.log(complex(q.a)) - lam
+        u = np.clip(u.real, -745.0, 700.0) + 1j * u.imag
+        return np.abs(1.0 + np.exp(u))
+
+
+def _reference_rejection_sample(rng, hull, accept, n, what):
+    """The list-and-concatenate sampler that the preallocated one replaced."""
+    x_lo, x_hi, y_lo, y_hi = hull
+    if not (x_lo < x_hi and y_lo < y_hi):
+        raise EmptyRegionError(f"degenerate sampling hull for {what}")
+    kept = []
+    taken = 0
+    consecutive_rejects = 0
+    while taken < n:
+        xs = rng.uniform(x_lo, x_hi, bounds._CHUNK)
+        ys = rng.uniform(y_lo, y_hi, bounds._CHUNK)
+        mask = accept(xs, ys)
+        hits = int(mask.sum())
+        if hits == 0:
+            consecutive_rejects += bounds._CHUNK
+            if consecutive_rejects >= bounds.MAX_CONSECUTIVE_REJECTS:
+                raise EmptyRegionError(
+                    f"no point of {what} found in {consecutive_rejects} draws"
+                )
+            continue
+        consecutive_rejects = 0
+        kept.append((xs + 1j * ys)[mask])
+        taken += hits
+    return np.concatenate(kept)[:n]
+
+
+def _points_at_re_u(q, targets, rng):
+    """Points lambda where Re(lambda - k Log lambda - Log a) is each target.
+
+    Solves x = t + k ln|x + iy| + ln|a| by fixed-point iteration at a random
+    |y| in 50..1000, where the map contracts (its slope is at most k/(2|y|)).
+    """
+    ys = rng.uniform(50.0, 1000.0, targets.size) * rng.choice([-1.0, 1.0], targets.size)
+    xs = targets.copy()
+    for _ in range(60):
+        xs = targets + 0.5 * q.k * np.log(xs * xs + ys * ys) + q.log_abs_a
+    return xs + 1j * ys
+
+
+class TestBatchedRatioKernel:
+    @pytest.mark.parametrize("q", [
+        Q11,
+        Quasipolynomial(2, 0.5 + 0.5j),
+        Quasipolynomial(3, -2),
+        Quasipolynomial(7, 3e-20 - 1e-20j),
+        Quasipolynomial(16, 4e19j),
+        Quasipolynomial(1, 1e150),
+    ])
+    def test_matches_the_separate_kernels(self, q):
+        rng = np.random.default_rng(17)
+        targets = np.concatenate([
+            rng.uniform(-800.0, 710.0, 3000),
+            rng.uniform(-43.0, -41.0, 3000),  # dense around the skip threshold
+            rng.uniform(-800.0, -746.0, 200),  # below the -745 clip
+            rng.uniform(701.0, 710.0, 200),  # above the +700 clip
+        ])
+        # Re u of the exponential ratio is minus that of the algebraic one,
+        # so the negated targets give it the same span.
+        lam = _points_at_re_u(q, np.concatenate([targets, -targets]), rng)
+        # x^2 + y^2 overflowing, subnormal or zero: the estimate is not
+        # trusted there (at 1e-163 + 1e-163j with a = 1e150, Re u of the
+        # exponential ratio is -29.6 while the estimate reads -inf)
+        lam = np.concatenate([lam, [1e200 + 1e200j, -1e200 + 3e199j, 1e-160 - 2e-160j,
+                                    -3e-160 + 1e-161j, 3e-162 - 1e-162j, 1e-163 + 1e-163j]])
+        with np.errstate(all="ignore"):
+            re_u = (lam - q.k * np.log(lam) - np.log(complex(q.a))).real
+        for sign in (1.0, -1.0):
+            assert (sign * re_u < -745.0).sum() > 100
+            assert (sign * re_u > 700.0).sum() > 100
+            assert (np.abs(sign * re_u + 42.0) < 1.0).sum() > 1000
+
+        for alg, reference in ((True, _reference_ratio_alg_batch),
+                               (False, _reference_ratio_exp_batch)):
+            expected = reference(q, lam)
+            assert np.array_equal(bounds._ratio_batch(q, lam, alg), expected)
+            skipped = bounds._saturated(q, lam, alg)
+            assert (expected[skipped] == 1.0).all()
+            # most points below the threshold are skipped, none above it
+            sign = 1.0 if alg else -1.0
+            assert skipped.sum() > 0.9 * (sign * re_u < -42.5).sum()
+            assert not skipped[sign * re_u > -41.9].any()
+
+
+def _with_reference_sampler_and_kernels(call):
+    """call() once as is and once on the replaced sampler and kernels."""
+    ours = call()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_rejection_sample", _reference_rejection_sample)
+        mp.setattr(bounds, "_ratio_batch", lambda q, lam, alg: (
+            _reference_ratio_alg_batch if alg else _reference_ratio_exp_batch)(q, lam))
+        theirs = call()
+    return ours, theirs
+
+
+class TestReportsMatchTheReference:
+    @pytest.mark.parametrize("call", [
+        # three chunks of about 4000 hits; the last accepts more than needed
+        lambda: verify_eq3(Q11, h=math.log(2) + 0.5, r=1.0, n=10_000, seed=7),
+        lambda: verify_eq3(Quasipolynomial(3, 0.5 + 0.5j), h=2.0, r=1.0, n=5_000, seed=3),
+        # a thin cap of |lambda| <= 100: about 1% of the draws are accepted
+        lambda: verify_eq3(Q11, h=97.0, r=1.0, n=500, seed=5, window=100.0),
+        lambda: verify_eq4(Quasipolynomial(3, 2), h=2.0, r=1.0, n=9_000, seed=5),
+        lambda: verify_eq4(Quasipolynomial(2, -0.3j), h=1.0, r=1.0, n=4_000, seed=8,
+                           printed_set=True),
+        lambda: verify_eq4(Q11, h=1.5, r=1.0, n=3_000, seed=9, printed_set=False),
+        lambda: estimate_c_delta(Q11, h=2.0, r=1.0, delta=0.5, nu_hi=30, n=3_000, seed=42),
+        lambda: estimate_c_delta(Quasipolynomial(2, 0.8 - 0.6j), h=1.5, r=1.0, delta=0.1,
+                                 nu_hi=60, n=1_500, seed=4),
+    ])
+    def test_identical_reports(self, call):
+        ours, theirs = _with_reference_sampler_and_kernels(call)
+        assert ours == theirs
+        assert repr(ours) == repr(theirs)
+
+    @pytest.mark.parametrize("n, threshold", [
+        (100, 0.0),  # the first chunk alone has more hits than needed
+        (5_000, 0.0),  # the second chunk's hits are cut
+        (20, 0.9996),  # about 1.6 hits per chunk, some chunks have none
+    ])
+    def test_sampler_matches(self, n, threshold):
+        def accept(xs, ys):
+            return xs > threshold
+
+        def draw(sampler):
+            return sampler(bounds._philox(31), (-1.0, 1.0, -1.0, 1.0), accept, n, "cap")
+
+        ours = draw(bounds._rejection_sample)
+        theirs = draw(_reference_rejection_sample)
+        assert ours.shape == (n,)
+        assert np.array_equal(ours, theirs)
+        assert np.array_equal(np.signbit(ours.real), np.signbit(theirs.real))
+        assert np.array_equal(np.signbit(ours.imag), np.signbit(theirs.imag))
+
+    def test_empty_region_same_error(self):
+        def never(xs, ys):
+            return np.zeros(xs.shape, dtype=bool)
+
+        messages = []
+        for sampler in (bounds._rejection_sample, _reference_rejection_sample):
+            with pytest.raises(EmptyRegionError) as err:
+                sampler(bounds._philox(1), (0.0, 1.0, 0.0, 1.0), never, 10, "nothing")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 def _corner_oracle(q, nu, h):
     """Corners recomputed from scratch: refine the two cut-line zeros, then
     bisect x - k*ln|x+iy| = level on each cut line."""
