@@ -15,6 +15,13 @@ cut point is bisected again) and walks the two cross lines once; each half
 of a cross line serves both children beside it, one in each direction, and
 a child's count is the sum of the steps along its four edges.
 
+An edge with more than _BATCH_KNOTS interior knots has them evaluated in one
+numpy pass, and its phase steps checked at once; it goes back to the scalar
+bisection loop only from its first rejected piece.  Below that length numpy's
+fixed cost per call outweighs the saving, so short edges, most isolation
+cross lines among them, stay scalar.  Both paths give the same samples, bit
+for bit, and the same evaluation count.
+
 This counter is the independent certificate for the refinement pipeline: it
 never looks inside the refiners, only at values of f along curves.
 """
@@ -23,9 +30,12 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .core import Quasipolynomial
 from .errors import (
@@ -60,6 +70,15 @@ MIN_MAX_DEPTH = 8
 #: deterministic relative offsets tried for interior split lines when a zero
 #: lands on one (first entry is the unjittered split)
 _SPLIT_JITTER = ((0.0, 0.0), (1e-4, 1e-4), (-2e-4, 1.5e-4), (2.5e-4, -2e-4))
+
+#: edges with more interior knots than this evaluate them in one numpy pass.
+#: The pass costs a fixed ~40 us (about forty numpy calls) plus ~0.3 us per
+#: knot, against ~1.2 us per knot in the scalar loop: the two take the same
+#: time on edges of 32 to 40 pieces, and the pass is 2x faster at 128 pieces
+#: and 4x at 1000 (Python 3.11, numpy 2.4, one x86-64 VM core)
+_BATCH_KNOTS = 32
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -187,6 +206,69 @@ def _phase_and_relmag(q: Quasipolynomial, lam: complex) -> tuple[float, float]:
     return phase, relmag
 
 
+def _remainder_tau(x: np.ndarray) -> np.ndarray:
+    """math.remainder(x, tau) at every element of x, bit for bit.
+
+    The exact fmod, moved by tau towards zero where it is past tau/2 (exact
+    by Sterbenz's lemma); an exact tie takes the even multiple of tau, by
+    CPython's own formula.
+    """
+    r = np.fmod(x, math.tau)
+    half = np.abs(r)
+    np.subtract(r, np.copysign(math.tau, r), out=r, where=half > 0.5 * math.tau)
+    tie = half == 0.5 * math.tau
+    if np.count_nonzero(tie):
+        r[tie] -= 2.0 * np.fmod(0.5 * (x[tie] - r[tie]), math.tau)
+    return r
+
+
+def _phase_and_relmag_batch(
+    q: Quasipolynomial, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_phase_and_relmag at every point of lam, bit for bit, as two arrays,
+    except that relmag is 0 (and phase nan) where it would raise.
+
+    The same dom/sub split, through the same C library functions: numpy's
+    complex log and exp are clog and cexp, and clog's imaginary part is the
+    atan2 that cmath.phase takes.  numpy's real log, exp and arctan2 are not
+    used: with AVX-512 they are vectorised and round differently.  clog and
+    cmath.log take log(hypot(x, y)) alike except near |lambda| = 1 (cmath.log
+    takes log1p for 0.71 <= |lambda| <= 1.73, glibc's clog where
+    max(|x|, |y|) is in [0.5, 2)) and where cmath.log rescales, beyond
+    DBL_MAX/4; the points with |ln|lambda|| < 1.1 or > 708, which include
+    those and lambda = 0, are given _phase_and_relmag itself.  Call inside
+    np.errstate: those points may overflow or divide by zero here first.
+    """
+    t_alg = np.log(lam)
+    ln_abs = np.abs(t_alg.real)
+    scalar = (ln_abs < 1.1) | (ln_abs > 708.0)
+    del ln_abs
+    t_alg *= q.k
+    t_alg += q.log_a
+    alg_dom = lam.real < t_alg.real
+    # sub - dom; lam - t_alg is -(t_alg - lam) up to the sign of a zero,
+    # which neither exp(sub - dom) nor 1 + exp(sub - dom) can show
+    rem = t_alg - lam
+    np.negative(rem, out=rem, where=alg_dom)
+    dom_imag = lam.imag.copy()
+    np.copyto(dom_imag, t_alg.imag, where=alg_dom)
+    del t_alg, alg_dom
+    np.exp(rem, out=rem)
+    rem += 1.0
+    relmag = np.hypot(rem.real, rem.imag)
+    dom_imag += np.log(rem, out=rem).imag
+    del rem
+    phase = _remainder_tau(dom_imag)
+    if np.count_nonzero(scalar):
+        at = np.flatnonzero(scalar)
+        for i, p in zip(at.tolist(), lam[at].tolist()):
+            try:
+                phase[i], relmag[i] = _phase_and_relmag(q, p)
+            except BoundaryZeroError:
+                phase[i], relmag[i] = math.nan, 0.0
+    return phase, relmag
+
+
 def _eval_point(
     q: Quasipolynomial, lam: complex, stats: _WalkStats
 ) -> tuple[float, float]:
@@ -303,20 +385,28 @@ def _walk_edge(
     accepts it, at most max_depth times.  Raises _Unresolved, with the
     samples evaluated so far as its partial edge, when a piece is still
     rejected at that depth.
+
+    With more than _BATCH_KNOTS interior knots, point_of takes them as one
+    array and _batch_knots evaluates them and checks every piece at once;
+    the loop below then starts at the first rejected piece, if there is one.
     """
     n = max(1, math.ceil(length / INITIAL_PIECE_LENGTH))
-    knots, knot_vals = [start[0]], [start[1]]
-    for i in range(1, n):
-        p = point_of(i / n)
-        knots.append(p)
-        knot_vals.append(_eval_point(q, p, stats))
-    knots.append(end[0])
-    knot_vals.append(end[1])
+    first = 0
     steps: list[float] = []
+    if n - 1 > _BATCH_KNOTS:
+        knots, knot_vals, steps, first = _batch_knots(q, point_of, n, start, end, stats)
+    else:
+        knots, knot_vals = [start[0]], [start[1]]
+        for i in range(1, n):
+            p = point_of(i / n)
+            knots.append(p)
+            knot_vals.append(_eval_point(q, p, stats))
+        knots.append(end[0])
+        knot_vals.append(end[1])
     # the samples are the knots themselves until a piece needs bisection
     pts: list[complex] | None = None
     vals: list[tuple[float, float]] = []
-    for i in range(n):
+    for i in range(first, n):
         f0, f1 = knot_vals[i], knot_vals[i + 1]
         d = _accepted_step(f0, f1)
         if d is not None:
@@ -358,7 +448,59 @@ def _walk_edge(
     return _Edge(pts, vals, steps)
 
 
+def _batch_knots(
+    q: Quasipolynomial,
+    point_of: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    start: tuple[complex, tuple[float, float]],
+    end: tuple[complex, tuple[float, float]],
+    stats: _WalkStats,
+) -> tuple[list[complex], list[tuple[float, float]], list[float], int]:
+    """The knots of an edge of n pieces and their values, evaluated in one
+    numpy pass, with the steps of its leading accepted pieces and the index
+    of its first rejected piece (n when every piece passes _accepted_step).
+
+    stats changes as n - 1 calls of _eval_point in walking order would
+    change it, up to the first knot where f vanishes, which raises the same
+    BoundaryZeroError.
+    """
+    with np.errstate(all="ignore"):
+        inner = point_of(np.arange(1.0, n) / n)
+        phase, relmag = _phase_and_relmag_batch(q, inner)
+        knots = [start[0], *inner.tolist(), end[0]]
+        del inner
+        # argmin takes the first minimum: the first knot where f vanishes,
+        # if any, and otherwise the knot _eval_point would record
+        j = int(relmag.argmin())
+        done = n - 1
+        if relmag[j] == 0.0:
+            done = j
+            j = int(relmag[:done].argmin()) if done else 0
+        if done and relmag[j] < stats.min_mag:
+            stats.min_mag = float(relmag[j])
+            stats.min_mag_point = knots[j + 1]
+        stats.evals += done
+        if done < n - 1:
+            lam = knots[done + 1]
+            raise BoundaryZeroError(
+                f"f vanished at contour point {lam!r}", point=lam, magnitude=0.0
+            )
+        d = np.empty(n)
+        d[0] = phase[0] - start[1][0]
+        np.subtract(phase[1:], phase[:-1], out=d[1:-1])
+        d[-1] = end[1][0] - phase[-1]
+        d = _remainder_tau(d)
+        accepted = np.abs(d) < PHASE_STEP_LIMIT
+        first = int(accepted.argmin())
+        if accepted[first]:
+            first = n
+        knot_vals = [start[1], *zip(phase.tolist(), relmag.tolist()), end[1]]
+        return knots, knot_vals, d[:first].tolist(), first
+
+
 def _segment(p0: complex, p1: complex) -> Callable[[float], complex]:
+    """The point p0 + t*(p1 - p0); t may also be an array of parameters,
+    giving the same points bit for bit."""
     d = p1 - p0
     return lambda t: p0 + t * d
 
@@ -427,7 +569,9 @@ def count_zeros_disk(
     stats = _WalkStats()
 
     def point_of(t: float) -> complex:
-        return disk.center + disk.radius * cmath.exp(1j * t)
+        # numpy's complex exp is the C library's cexp, equal to cmath.exp
+        exp = np.exp if isinstance(t, np.ndarray) else cmath.exp
+        return disk.center + disk.radius * exp(1j * t)
 
     anchors = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau]
     ends = [(p, _eval_point(q, p, stats)) for p in map(point_of, anchors[:4])]
@@ -573,6 +717,10 @@ def isolate_zeros(
             try:
                 children = _split(q, box, edges, cx, cy, max_depth, stats)
             except (BoundaryZeroError, DepthExceededError) as err:
+                _log.debug(
+                    "split of %r at jitter (%g, %g) failed with %s",
+                    box, dx, dy, type(err).__name__,
+                )
                 last_err = err
                 continue
             break

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import logging
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from quasizero import (
     Disk,
     InvalidQueryError,
     Quasipolynomial,
+    QuasizeroError,
     Rect,
     count_zeros_disk,
     count_zeros_rect,
@@ -170,18 +173,27 @@ class TestIsolateZeros:
 class TestIsolationSharesEdges:
     def test_cost_stays_within_six_root_counts(self, monkeypatch):
         # Before edge sharing this rectangle took 14,967 evaluations against
-        # 908 for its root count (16.5x).
+        # 908 for its root count (16.5x).  Every point goes through either
+        # _eval_point or the batched kernel, which takes the knots of long
+        # edges; counting both counts each evaluated point once.
         evals = [0]
-        inner = oracle._phase_and_relmag
+        scalar, batch = oracle._eval_point, oracle._phase_and_relmag_batch
 
-        def counting(q, lam):
+        def counting(q, lam, stats):
             evals[0] += 1
-            return inner(q, lam)
+            return scalar(q, lam, stats)
 
-        monkeypatch.setattr(oracle, "_phase_and_relmag", counting)
+        def counting_batch(q, lam):
+            evals[0] += len(lam)
+            return batch(q, lam)
+
+        monkeypatch.setattr(oracle, "_eval_point", counting)
+        monkeypatch.setattr(oracle, "_phase_and_relmag_batch", counting_batch)
         rect = Rect(-5, 8, -50.3, 50.1)
         root = count_zeros_rect(Q11, rect)
         root_evals, evals[0] = evals[0], 0
+        # batching the knots must not change the number of evaluations
+        assert root_evals == 908
         boxes = isolate_zeros(Q11, rect, eps=0.5)
         assert len(boxes) == root.count == 17
         assert evals[0] <= 6 * root_evals
@@ -220,3 +232,274 @@ class TestIsolationSharesEdges:
                     b.re_lo < c.re_hi and c.re_lo < b.re_hi
                     and b.im_lo < c.im_hi and c.im_lo < b.im_hi
                 ), f"{b} overlaps {c}"
+
+
+class TestIsolationLogsRetries:
+    # The split lines of Rect(-2, 2, -2, 2) cross at the origin, and the
+    # horizontal one runs through the real zero near -0.567.
+    RECT = Rect(-2, 2, -2, 2)
+
+    def test_each_failed_split_is_logged_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="quasizero.oracle")
+        boxes = isolate_zeros(Q11, self.RECT, eps=1e-3)
+        assert len(boxes) == 1
+        retries = [r for r in caplog.records if r.name == "quasizero.oracle"]
+        assert retries
+        assert all(r.levelno == logging.DEBUG for r in retries)
+        first = retries[0].getMessage()
+        assert repr(self.RECT) in first
+        assert "jitter (0, 0)" in first
+        assert "DepthExceededError" in first or "BoundaryZeroError" in first
+
+    def test_nothing_is_logged_by_default(self, caplog, capsys):
+        caplog.set_level(logging.WARNING)
+        isolate_zeros(Q11, self.RECT, eps=1e-3)
+        assert not caplog.records
+        assert capsys.readouterr() == ("", "")
+
+
+def _reference_walk_edge(q, point_of, length, start, end, max_depth, stats):
+    """The scalar walker that the batched knots replaced: every knot goes
+    through oracle._eval_point one at a time, then the same bisection loop."""
+    n = max(1, math.ceil(length / oracle.INITIAL_PIECE_LENGTH))
+    knots, knot_vals = [start[0]], [start[1]]
+    for i in range(1, n):
+        p = point_of(i / n)
+        knots.append(p)
+        knot_vals.append(oracle._eval_point(q, p, stats))
+    knots.append(end[0])
+    knot_vals.append(end[1])
+    steps = []
+    pts = None
+    vals = []
+    for i in range(n):
+        f0, f1 = knot_vals[i], knot_vals[i + 1]
+        d = oracle._accepted_step(f0, f1)
+        if d is not None:
+            steps.append(d)
+            if pts is not None:
+                pts.append(knots[i + 1])
+                vals.append(f1)
+            continue
+        if pts is None:
+            pts, vals = knots[: i + 1], knot_vals[: i + 1]
+        t0 = i / n
+        pending = [((i + 1) / n, knots[i + 1], f1, max_depth)]
+        while pending:
+            t1, p1, f1, depth = pending[-1]
+            d = oracle._accepted_step(f0, f1)
+            if d is not None:
+                pending.pop()
+                pts.append(p1)
+                vals.append(f1)
+                steps.append(d)
+                t0, f0 = t1, f1
+            elif depth > 0:
+                tm = 0.5 * (t0 + t1)
+                pm = point_of(tm)
+                pending[-1] = (t1, p1, f1, depth - 1)
+                pending.append((tm, pm, oracle._eval_point(q, pm, stats), depth - 1))
+            else:
+                raise oracle._Unresolved(
+                    point_of(0.5 * (t0 + t1)),
+                    math.remainder(f1[0] - f0[0], math.tau),
+                    pts + [e[1] for e in reversed(pending)] + knots[i + 2 :],
+                    vals + [e[2] for e in reversed(pending)] + knot_vals[i + 2 :],
+                )
+    stats.segments += len(steps)
+    if pts is None:
+        return oracle._Edge(knots, knot_vals, steps)
+    return oracle._Edge(pts, vals, steps)
+
+
+LIBRARY_WALK = oracle._walk_edge
+
+
+def _outcome(out, stats):
+    """out and the stats (evals, segments, smallest relmag and its point);
+    repr tells every float apart bit for bit, signed zeros included."""
+    return repr(out), stats.evals, stats.segments, repr(stats.min_mag), repr(stats.min_mag_point)
+
+
+def _walked(monkeypatch, walker, call):
+    """call()'s repr, or the class and message of what it raised, and the
+    outcome of every edge walk on the way (its samples and steps, or what
+    it raised, and its stats after it), with walker as oracle's walker."""
+    walks = []
+
+    def recording(*args):
+        stats = args[-1]
+        try:
+            edge = walker(*args)
+        except oracle._Unresolved as err:
+            partial = err.partial
+            walks.append(
+                _outcome(("unresolved", err.point, err.step, partial.pts, partial.vals), stats)
+            )
+            raise
+        except QuasizeroError as err:
+            walks.append(_outcome((type(err).__name__, str(err)), stats))
+            raise
+        walks.append(_outcome(("edge", edge.pts, edge.vals, edge.steps), stats))
+        return edge
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_walk_edge", recording)
+        try:
+            result = repr(call())
+        except (QuasizeroError, oracle._Unresolved) as err:
+            result = (type(err).__name__, str(err))
+    return result, walks
+
+
+def _edge_walk(q, p0, p1, max_depth=oracle.DEFAULT_MAX_DEPTH):
+    """A call that walks the segment p0 -> p1 alone, with fresh stats."""
+
+    def call():
+        stats = oracle._WalkStats()
+        start, end = ((p, oracle._eval_point(q, p, stats)) for p in (p0, p1))
+        segment = oracle._segment(p0, p1)
+        oracle._walk_edge(q, segment, abs(p1 - p0), start, end, max_depth, stats)
+
+    return call
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _coefficient(rng):
+    """|A| log-uniform in 1e-20..1e20, any argument."""
+    return cmath.rect(_log_uniform(rng, 1e-20, 1e20), rng.uniform(-math.pi, math.pi))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBatchedKnotsMatchTheScalarWalk:
+    """Edges with more than _BATCH_KNOTS interior knots evaluate them in one
+    numpy pass; every walk must match the scalar reference walker bit for
+    bit: samples, steps, stats, results, and error class and message."""
+
+    def assert_same(self, monkeypatch, call):
+        ours = _walked(monkeypatch, LIBRARY_WALK, call)
+        assert ours == _walked(monkeypatch, _reference_walk_edge, call)
+        return ours
+
+    @pytest.fixture
+    def batched(self, monkeypatch):
+        """Counts of batched edges and of those handed on to bisection."""
+        counts = {"edges": 0, "bisected": 0}
+        inner = oracle._batch_knots
+
+        def counting(q, point_of, n, start, end, stats):
+            out = inner(q, point_of, n, start, end, stats)
+            counts["edges"] += 1
+            counts["bisected"] += out[-1] < n
+            return out
+
+        monkeypatch.setattr(oracle, "_batch_knots", counting)
+        return counts
+
+    def test_tall_rects(self, monkeypatch, batched):
+        rng = random.Random(20261018)
+        for _ in range(16):
+            k = rng.randint(1, 16)
+            q = Quasipolynomial(k, _coefficient(rng))
+            height = _log_uniform(rng, 5.0, 2000.0)
+            im_lo = rng.uniform(-2000.0, 2000.0 - height)
+            far = max(abs(im_lo), abs(im_lo + height), 1.0)
+            re_lo = min(0.0, q.log_abs_a) - 4.0 - rng.random()
+            re_hi = max(q.log_abs_a + k * math.log(far), re_lo) + 3.0 + rng.random()
+            rect = Rect(re_lo, re_hi, im_lo, im_lo + height)
+            self.assert_same(monkeypatch, lambda: count_zeros_rect(q, rect))
+        assert batched["edges"] > 30 and batched["bisected"] > 0
+
+    def test_disks(self, monkeypatch, batched):
+        rng = random.Random(1018)
+        for i in range(24):
+            q = Quasipolynomial(rng.randint(1, 16), _coefficient(rng))
+            centre = 0j if i % 3 == 0 else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            radius = _log_uniform(rng, 0.5, 40.0)
+            self.assert_same(monkeypatch, lambda: count_zeros_disk(q, centre, radius))
+        assert batched["edges"] > 10
+
+    def test_isolation(self, monkeypatch, batched):
+        # the split lines of these rects are long enough to be batched
+        q = Quasipolynomial(2, 1.5 - 0.5j)
+        self.assert_same(monkeypatch, lambda: isolate_zeros(q, Rect(-5, 9, -40.1, 40.3), 0.5))
+        self.assert_same(monkeypatch, lambda: isolate_zeros(Q11, Rect(-9, 9, -9, 9), 0.5))
+        assert batched["edges"] > 10
+
+    def test_edge_through_the_origin(self, monkeypatch, batched):
+        # the knot at t = 1/2 is exactly lambda = 0, where f = 1
+        for q in (Q11, Quasipolynomial(3, -2.0), Quasipolynomial(16, 1e-20j)):
+            self.assert_same(monkeypatch, _edge_walk(q, -10 + 0j, 10 + 0j))
+            self.assert_same(monkeypatch, lambda: count_zeros_rect(q, Rect(-10, 10, 0.0, 7)))
+        assert batched["edges"] >= 6
+
+    def test_far_right_edges_where_dominance_flips(self, monkeypatch, batched):
+        # the algebraic term dominates left of Re ~ 46 + 16 ln|lambda| ~ 120
+        # and e^lambda to the right of it, out past Re lambda = 700
+        q = Quasipolynomial(16, cmath.rect(1e20, 0.3))
+        self.assert_same(monkeypatch, _edge_walk(q, 0.0 + 100.3j, 800.0 + 100.3j))
+        self.assert_same(monkeypatch, _edge_walk(q, 710.0 - 30.0j, 710.0 + 30.0j))
+        self.assert_same(monkeypatch, lambda: count_zeros_rect(q, Rect(0.0, 800.0, 100.3, 120.7)))
+        # beyond DBL_MAX/4, where cmath.log rescales before taking the log
+        self.assert_same(monkeypatch, lambda: count_zeros_disk(q, 4.6e307 + 0j, 100.0))
+        assert batched["edges"] >= 8
+
+    def test_a_rejected_piece_falls_back_to_bisection(self, monkeypatch, batched):
+        # 48 pieces passing 0.03 from the zero near 2.4016 + 10.7763i; the
+        # piece beside it is bisected, and those before it are not
+        _, walks = self.assert_same(monkeypatch, _edge_walk(Q11, 2.43 + 5j, 2.43 + 17j))
+        assert batched == {"edges": 1, "bisected": 1}
+        assert walks[0][1:3] == (52, 51)
+
+    def test_an_unresolved_piece(self, monkeypatch, omega):
+        # 40 pieces passing 1e-9 above the real zero
+        p0, p1 = complex(omega - 5.1, 1e-9), complex(omega + 4.9, 1e-9)
+        result, _ = self.assert_same(monkeypatch, _edge_walk(Q11, p0, p1, 10))
+        assert result[0] == "_Unresolved"
+        self.assert_same(
+            monkeypatch, lambda: count_zeros_rect(Q11, Rect(p0.real, p1.real, 1e-9, 2.0), 10)
+        )
+        self.assert_same(
+            monkeypatch, lambda: count_zeros_rect(Q11, Rect(omega - 5, omega + 5, 0.0, 2.0), 10)
+        )
+
+    def test_an_exact_tie_in_the_phase_remainder(self, monkeypatch):
+        # At lambda = -5 the raw phase is exactly 3*pi, halfway between two
+        # multiples of tau; math.remainder takes the even one, giving -pi.
+        q = Quasipolynomial(3, 1.0)
+        _, walks = self.assert_same(monkeypatch, _edge_walk(q, -5 + 5j, -5 - 5j))
+        assert "(-3.141592653589793, " in walks[0][0]
+
+    def test_a_knot_where_f_vanishes(self, monkeypatch):
+        # No knot meets |f| = 0 exactly in floating point, so make two: the
+        # scalar kernel raises there and the batched one gives relmag 0.
+        p0, p1 = 2.3 + 40j, 2.3 + 60j
+        zeros = {p0 + (i / 80) * (p1 - p0) for i in (37, 52)}
+        scalar, batch = oracle._phase_and_relmag, oracle._phase_and_relmag_batch
+
+        def vanishing(q, lam):
+            if lam in zeros:
+                raise BoundaryZeroError(
+                    f"f vanished at contour point {lam!r}", point=lam, magnitude=0.0
+                )
+            return scalar(q, lam)
+
+        def vanishing_batch(q, lam):
+            phase, relmag = batch(q, lam)
+            for i, p in enumerate(lam.tolist()):
+                if p in zeros:
+                    phase[i], relmag[i] = math.nan, 0.0
+            return phase, relmag
+
+        monkeypatch.setattr(oracle, "_phase_and_relmag", vanishing)
+        monkeypatch.setattr(oracle, "_phase_and_relmag_batch", vanishing_batch)
+        q = Quasipolynomial(2, 1.3 - 0.4j)
+        result, walks = self.assert_same(monkeypatch, _edge_walk(q, p0, p1))
+        # raised at the first of the two, after the ends and the 36 knots
+        # before it
+        first = p0 + (37 / 80) * (p1 - p0)
+        assert result == ("BoundaryZeroError", f"f vanished at contour point {first!r}")
+        assert walks[0][1:3] == (2 + 36, 0)
