@@ -42,7 +42,7 @@ from .errors import (
     InvalidQueryError,
 )
 from .regions import gamma_abscissa, min_h_t1, min_h_t2
-from .zeros import asymptotic_guess, enumerate_zeros, newton_refine, nu_min, small_zeros
+from .zeros import enumerate_zeros, nu_min, small_zeros
 
 #: sampled lower-bound threshold shared by eq3 and eq4
 HALF_THRESHOLD = 0.5
@@ -448,10 +448,10 @@ def quadrangle(q: Quasipolynomial, nu: int, h: float) -> QuadrangleGeom:
     """The band cell containing the chain zero of index nu.
 
     Horizontal cut lines sit pi + k*pi/2 + arg(a), reduced into (0, 2*pi],
-    below the refined zeros of indices nu and nu + 1 (mirrored through
-    conjugation for nu < 0); the four corners solve sigma_1 = -h and
-    sigma_1 = +h on those lines, ordered counterclockwise from the
-    bottom-left.  diag is the longest diagonal, which approaches
+    below the chain zeros of indices nu and nu + 1 from enumerate_zeros
+    (mirrored through conjugation for nu < 0); the four corners solve
+    sigma_1 = -h and sigma_1 = +h on those lines, ordered counterclockwise
+    from the bottom-left.  diag is the longest diagonal, which approaches
     sqrt(4*pi^2 + 4*h^2) as |nu| grows.
     """
     if not isinstance(nu, int) or isinstance(nu, bool):
@@ -474,8 +474,7 @@ def quadrangle(q: Quasipolynomial, nu: int, h: float) -> QuadrangleGeom:
         )
         return QuadrangleGeom(nu=nu, corners=corners, diag=mirrored.diag)
 
-    z_lo = newton_refine(q, asymptotic_guess(q, nu)).refined
-    z_hi = newton_refine(q, asymptotic_guess(q, nu + 1)).refined
+    z_lo, z_hi = (rec.refined for rec in enumerate_zeros(q, nu, nu + 1))
     offset = _cut_offset(q)
     y_lo = z_lo.imag - offset
     y_hi = z_hi.imag - offset

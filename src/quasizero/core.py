@@ -76,11 +76,6 @@ class Quasipolynomial:
         """Log a, the log of the algebraic term's coefficient in f."""
         return cmath.log(self.a)
 
-    @cached_property
-    def log_ak(self) -> complex:
-        """Log(a*k), the log of the algebraic term's coefficient in f'."""
-        return cmath.log(self.a * self.k)
-
     def conjugate(self) -> "Quasipolynomial":
         """Coefficient-conjugated twin; its zeros are the conjugated zeros."""
         return Quasipolynomial(self.k, self.a.conjugate())
@@ -93,25 +88,14 @@ def _require_finite(lam: complex) -> complex:
     return lam
 
 
-def _log_or_none(lam: complex) -> complex | None:
-    """Log lambda for the kernels below; None at lambda = 0, where none needs it."""
-    return cmath.log(lam) if lam else None
-
-
-def _two_term_eval(
-    coeff: complex,
-    log_coeff: complex,
-    power: int,
-    lam: complex,
-    log_lam: complex | None,
-) -> complex:
+def _two_term_eval(coeff: complex, log_coeff: complex, power: int, lam: complex) -> complex:
     """e^lambda + coeff*lambda^power with the dominant term factored out.
 
-    log_coeff is Log coeff and log_lam is Log lambda (None at lambda = 0);
-    lambda must be finite.  power >= 0; for power == 0 the second term is the
-    constant coeff (this is the k = 1 derivative case, where the power-zero
-    term must survive at lambda = 0).  Raises EvalOverflowError only when the
-    value itself exceeds binary64 range.
+    log_coeff is Log coeff and lambda must be finite.  power >= 0; for
+    power == 0 the second term is the constant coeff (this is the k = 1
+    derivative case, where the power-zero term must survive at lambda = 0).
+    Raises EvalOverflowError only when the value itself exceeds binary64
+    range.
     """
     if lam == 0:
         return 1.0 + coeff if power == 0 else 1.0 + 0j
@@ -123,7 +107,7 @@ def _two_term_eval(
     if power == 0:
         t_alg = log_coeff
     else:
-        t_alg = log_coeff + power * log_lam
+        t_alg = log_coeff + power * cmath.log(lam)
 
     # Fast path: both terms individually representable with room to spare.
     if (
@@ -158,13 +142,14 @@ def eval_f(q: Quasipolynomial, lam: complex) -> complex:
     returns inf or nan for finite input.
     """
     lam = _require_finite(lam)
-    return _two_term_eval(q.a, q.log_a, q.k, lam, _log_or_none(lam))
+    return _two_term_eval(q.a, q.log_a, q.k, lam)
 
 
 def eval_fprime(q: Quasipolynomial, lam: complex) -> complex:
     """f'(lambda) = e^lambda + a*k*lambda^(k-1), same overflow contract."""
     lam = _require_finite(lam)
-    return _two_term_eval(q.a * q.k, q.log_ak, q.k - 1, lam, _log_or_none(lam))
+    coeff = q.a * q.k
+    return _two_term_eval(coeff, cmath.log(coeff), q.k - 1, lam)
 
 
 def sigma(q: Quasipolynomial, s: int, lam: complex) -> float:
@@ -198,29 +183,6 @@ class RatioValue(float):
         return obj
 
 
-def _ratio_alg(q: Quasipolynomial, lam: complex, log_lam: complex) -> tuple[float, bool]:
-    """(ratio_alg, saturated) at a finite nonzero lambda with log_lam = Log lambda."""
-    u = lam - q.k * log_lam  # Re(u) = sigma_1
-    if abs(u.real) > EXP_SATURATION or abs(u.real - q.log_abs_a) > EXP_SATURATION:
-        return 1.0, True
-    return abs(1.0 + cmath.exp(u) / q.a), False
-
-
-def _ratio_exp(q: Quasipolynomial, lam: complex, log_lam: complex) -> tuple[float, bool]:
-    """(ratio_exp, saturated) at a finite nonzero lambda with log_lam = Log lambda."""
-    u = q.k * log_lam - lam  # Re(u) = -sigma_1
-    if abs(u.real) > EXP_SATURATION or abs(u.real + q.log_abs_a) > EXP_SATURATION:
-        return 1.0, True
-    return abs(1.0 + q.a * cmath.exp(u)), False
-
-
-def _relative_magnitude(q: Quasipolynomial, lam: complex, log_lam: complex | None) -> float:
-    """relative_magnitude at a finite lambda with log_lam = Log lambda (None at 0)."""
-    if lam == 0:
-        return 1.0  # f(0) = 1 and the dominant term is e^0 = 1
-    return min(_ratio_alg(q, lam, log_lam)[0], _ratio_exp(q, lam, log_lam)[0])
-
-
 def ratio_alg(q: Quasipolynomial, lam: complex) -> RatioValue:
     """|f(lambda)| / (|a| * |lambda|^k) = |1 + e^(lambda - k*Log lambda)/a|.
 
@@ -233,7 +195,10 @@ def ratio_alg(q: Quasipolynomial, lam: complex) -> RatioValue:
     lam = _require_finite(lam)
     if lam == 0:
         raise ZeroArgumentError("ratio_alg is undefined at lambda = 0")
-    return RatioValue(*_ratio_alg(q, lam, cmath.log(lam)))
+    u = lam - q.k * cmath.log(lam)  # Re(u) = sigma_1
+    if abs(u.real) > EXP_SATURATION or abs(u.real - q.log_abs_a) > EXP_SATURATION:
+        return RatioValue(1.0, saturated=True)
+    return RatioValue(abs(1.0 + cmath.exp(u) / q.a))
 
 
 def ratio_exp(q: Quasipolynomial, lam: complex) -> RatioValue:
@@ -247,7 +212,10 @@ def ratio_exp(q: Quasipolynomial, lam: complex) -> RatioValue:
     lam = _require_finite(lam)
     if lam == 0:
         return RatioValue(1.0)
-    return RatioValue(*_ratio_exp(q, lam, cmath.log(lam)))
+    u = q.k * cmath.log(lam) - lam  # Re(u) = -sigma_1
+    if abs(u.real) > EXP_SATURATION or abs(u.real + q.log_abs_a) > EXP_SATURATION:
+        return RatioValue(1.0, saturated=True)
+    return RatioValue(abs(1.0 + q.a * cmath.exp(u)))
 
 
 def relative_magnitude(q: Quasipolynomial, lam: complex) -> float:
@@ -259,4 +227,6 @@ def relative_magnitude(q: Quasipolynomial, lam: complex) -> float:
     min(ratio_alg, ratio_exp).
     """
     lam = _require_finite(lam)
-    return _relative_magnitude(q, lam, _log_or_none(lam))
+    if lam == 0:
+        return 1.0  # f(0) = 1 and the dominant term is e^0 = 1
+    return float(min(ratio_alg(q, lam), ratio_exp(q, lam)))

@@ -12,8 +12,17 @@ the nu < 0 chain of coefficient a is the conjugate of the nu > 0 chain of
 conj(a), which keeps conjugate pairs aligned (refined(-nu) == conj(refined(nu))
 whenever a is real) and works verbatim for complex coefficients.
 
-Each seed is polished two independent ways (a contracting fixed-point map and
-Newton) and certified by the contour oracle downstream.
+With lambda = 2*pi*i*nu + xi and c = ln|a| + i*(arg a + pi), branch nu >= 1
+is g(xi) = xi - c - k*Log(2*pi*i*nu + xi) = 0.  Each chain seed is polished
+on that equation two independent ways, by the contracting fixed-point map
+xi <- c + k*Log(2*pi*i*nu + xi) and by Newton on g, and the two must agree.
+Neither evaluates f, so neither can overflow, and the branch fixes which zero
+is found.
+
+newton_refine is Newton on f itself, for seeds with no chain index (the
+small_zeros box centres and user seeds).  A free zero may lie on the branch
+cut of Log, where no single branch equation holds along the iteration, so it
+keeps the z-form with a trust disk around the seed.
 """
 
 from __future__ import annotations
@@ -23,13 +32,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .core import (
-    Quasipolynomial,
-    _log_or_none,
-    _relative_magnitude,
-    _require_finite,
-    _two_term_eval,
-)
+from .core import Quasipolynomial, _require_finite, relative_magnitude
 from .errors import (
     CertificationError,
     DegenerateZeroError,
@@ -47,11 +50,12 @@ logger = logging.getLogger(__name__)
 
 TWO_PI = math.tau
 
-#: Newton stops when the relative residual |f| / max-term drops below this
+#: newton_refine stops when the relative residual |f| / max-term drops below this
 NEWTON_TOL = 1e-12
+#: step budget of both Newton iterations, on f and on a branch equation
 NEWTON_MAX_ITER = 50
 
-#: Newton iterates must stay within this distance of their seed
+#: newton_refine iterates must stay within this distance of their seed
 NEWTON_TRUST_RADIUS = 5.0
 
 #: fixed-point refinement stops when the step length drops below this
@@ -64,8 +68,9 @@ DEGENERATE_FPRIME_TOL = 1e-8
 #: two records closer than this are considered the same zero
 DUPLICATE_TOL = 1e-6
 
-#: Newton switches to the dominant-term-divided update beyond this |sigma_1|
-_STABILIZED_SIGMA = 50.0
+#: Newton on a branch equation stops after a step shorter than this times
+#: max(1, |xi|)
+_BRANCH_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,29 +137,53 @@ def _positive_guess(q: Quasipolynomial, nu: int) -> complex:
     return complex(re, im)
 
 
-def _fixedpoint_branch(
-    q: Quasipolynomial, mirror: Quasipolynomial, nu: int, max_iter: int, tol: float
-) -> tuple[complex, complex, int]:
-    """(asymptotic seed, fixed-point zero, steps taken) for branch nu != 0.
+def _refine_branch(
+    q: Quasipolynomial,
+    mirror: Quasipolynomial,
+    nu: int,
+    fp_max_iter: int,
+    fp_tol: float,
+) -> tuple[complex, complex, int, complex, int]:
+    """(seed, fixed-point zero, its steps, Newton zero, its steps) for branch nu != 0.
 
+    Both refiners solve g(xi) = 0 (module docstring) from the asymptotic seed.
     mirror is q.conjugate(); branch nu < 0 is the conjugated branch -nu of it.
     """
     if nu < 0:
-        seed, lam, iters = _fixedpoint_branch(mirror, q, -nu, max_iter, tol)
-        return seed.conjugate(), lam.conjugate(), iters
+        seed, fp_lam, fp_iters, lam, iters = _refine_branch(mirror, q, -nu, fp_max_iter, fp_tol)
+        return seed.conjugate(), fp_lam.conjugate(), fp_iters, lam.conjugate(), iters
     seed = _positive_guess(q, nu)
     anchor = 2j * math.pi * nu
     const = q.log_abs_a + 1j * (q.arg_a + math.pi)
+
     xi = seed - anchor
-    for iteration in range(1, max_iter + 1):
+    for fp_iters in range(1, fp_max_iter + 1):
         nxt = const + q.k * cmath.log(anchor + xi)
-        if abs(nxt - xi) < tol:
-            return seed, anchor + nxt, iteration
+        if abs(nxt - xi) < fp_tol:
+            break
         xi = nxt
+    else:
+        raise NotConvergedError(
+            f"fixed-point refinement for nu = {nu} did not converge in {fp_max_iter} steps",
+            last=anchor + xi,
+            iterations=fp_max_iter,
+        )
+    fp_lam = anchor + nxt
+
+    # Newton on g needs no trust disk and no degeneracy test: g' = 1 - k/lambda,
+    # and |lambda| > 2*pi*|nu| >= 2*pi*k near the zero, so g' stays away from 0.
+    xi = seed - anchor
+    for nw_iters in range(1, NEWTON_MAX_ITER + 1):
+        lam = anchor + xi
+        step = (xi - const - q.k * cmath.log(lam)) / (1.0 - q.k / lam)
+        xi -= step
+        if abs(step) < _BRANCH_STEP_TOL * max(1.0, abs(xi)):
+            return seed, fp_lam, fp_iters, anchor + xi, nw_iters
     raise NotConvergedError(
-        f"fixed-point refinement for nu = {nu} did not converge in {max_iter} steps",
+        f"Newton on the branch equation for nu = {nu} did not converge in "
+        f"{NEWTON_MAX_ITER} steps",
         last=anchor + xi,
-        iterations=max_iter,
+        iterations=NEWTON_MAX_ITER,
     )
 
 
@@ -177,51 +206,31 @@ def fixedpoint_refine(
         raise InvalidIndexError(
             f"|nu| must be >= nu_min = {nu_min(q)}, got {nu}"
         )
-    return _fixedpoint_branch(q, q.conjugate(), nu, max_iter, tol)[1]
+    return _refine_branch(q, q.conjugate(), nu, max_iter, tol)[1]
 
 
-def _newton_step(q: Quasipolynomial, lam: complex, log_lam: complex | None) -> complex:
-    """f/f' with the dominant term divided out when far from the zero curve.
+def _newton_terms(q: Quasipolynomial, lam: complex) -> tuple[float, complex, float]:
+    """(relative |f|, Newton step f/f', relative |f'|) at a finite lambda.
 
-    lam is finite and log_lam is Log lam (None at lam = 0).
+    Both f and f' are divided by the larger of e^lambda and a*lambda^k, so one
+    log and one exp of the smaller term over the larger give all three without
+    overflow.  Relative |f'| is |f'| over the larger of its own two terms.
     """
-    if lam != 0:
-        sig1 = lam.real - q.k * math.log(abs(lam))  # sigma_1
-        if abs(sig1) > _STABILIZED_SIGMA:
-            t_exp = lam
-            t_alg = q.log_a + q.k * log_lam
-            if t_exp.real >= t_alg.real:
-                u = cmath.exp(t_alg - t_exp)  # a*lambda^k / e^lambda
-                numerator = 1.0 + u
-                denominator = 1.0 + q.k * u / lam
-            else:
-                v = cmath.exp(t_exp - t_alg)  # e^lambda / (a*lambda^k)
-                numerator = v + 1.0
-                denominator = v + q.k / lam
-            if denominator == 0:
-                raise DerivativeVanishedError(f"f' vanished near {lam!r}")
-            return numerator / denominator
-    f = _two_term_eval(q.a, q.log_a, q.k, lam, log_lam)
-    fp = _two_term_eval(q.a * q.k, q.log_ak, q.k - 1, lam, log_lam)
-    if abs(fp) < 1e-300:
-        raise DerivativeVanishedError(f"|f'({lam!r})| = {abs(fp):.3e}")
-    return f / fp
-
-
-def _relative_fprime(q: Quasipolynomial, lam: complex, log_lam: complex | None) -> float:
-    """|f'| relative to the larger of its two terms (degeneracy detector)."""
     if lam == 0:
-        return abs(_two_term_eval(q.a * q.k, q.log_ak, q.k - 1, lam, log_lam))
-    t_exp = lam
-    if q.k == 1:
-        t_alg = q.log_ak
+        # f(0) = 1, and f'(0) keeps the constant term a only when k = 1
+        num, term1, term2 = 1.0 + 0j, 1.0, q.a if q.k == 1 else 0.0
     else:
-        t_alg = q.log_ak + (q.k - 1) * log_lam
-    if t_exp.real >= t_alg.real:
-        dom, sub = t_exp, t_alg
-    else:
-        dom, sub = t_alg, t_exp
-    return abs(1.0 + cmath.exp(sub - dom))
+        t_alg = q.log_a + q.k * cmath.log(lam)
+        if lam.real >= t_alg.real:
+            u = cmath.exp(t_alg - lam)  # a*lambda^k / e^lambda
+            num, term1, term2 = 1.0 + u, 1.0, q.k * u / lam
+        else:
+            u = cmath.exp(lam - t_alg)  # e^lambda / (a*lambda^k)
+            num, term1, term2 = u + 1.0, u, q.k / lam
+    den = term1 + term2
+    if den == 0:
+        raise DerivativeVanishedError(f"f' vanished near {lam!r}")
+    return abs(num), num / den, abs(den) / max(abs(term1), abs(term2))
 
 
 def newton_refine(
@@ -230,19 +239,24 @@ def newton_refine(
     max_iter: int = NEWTON_MAX_ITER,
     tol: float = NEWTON_TOL,
 ) -> ZeroRecord:
-    """Newton iteration on f from the given seed.
+    """Newton iteration on f itself from a free seed.
+
+    This is the refiner for seeds that carry no chain index: the small_zeros
+    box centres and user seeds.  It works on f rather than on a branch
+    equation because a free zero may sit on the branch cut of Log: the zero
+    -0.567 of e^lambda + lambda is on the negative real axis, where the
+    branch index of its iterates jumps by k from one step to the next.
 
     Stops when the relative residual |f| / max(|e^lambda|, |a*lambda^k|)
     drops below tol; a seed that already satisfies this returns with zero
     iterations.  Raises DivergedError when an iterate leaves the disk of
-    radius 5 around the seed, DerivativeVanishedError on |f'| ~ 0, and
+    radius 5 around the seed, DerivativeVanishedError when f' vanishes, and
     DegenerateZeroError when the converged zero has relative |f'| < 1e-8
     (the zero may not be simple).
     """
     seed = _require_finite(seed)
     lam = seed
-    log_lam = _log_or_none(lam)
-    residual = _relative_magnitude(q, lam, log_lam)
+    residual, step, rel_fprime = _newton_terms(q, lam)
     iters = 0
     while residual >= tol:
         if iters >= max_iter:
@@ -252,7 +266,7 @@ def newton_refine(
                 last=lam,
                 iterations=iters,
             )
-        lam = lam - _newton_step(q, lam, log_lam)
+        lam = lam - step
         if abs(lam - seed) > NEWTON_TRUST_RADIUS:
             raise DivergedError(
                 f"iterate {lam!r} left the trust disk of radius "
@@ -260,9 +274,8 @@ def newton_refine(
             )
         iters += 1
         lam = _require_finite(lam)
-        log_lam = _log_or_none(lam)
-        residual = _relative_magnitude(q, lam, log_lam)
-    if _relative_fprime(q, lam, log_lam) < DEGENERATE_FPRIME_TOL:
+        residual, step, rel_fprime = _newton_terms(q, lam)
+    if rel_fprime < DEGENERATE_FPRIME_TOL:
         raise DegenerateZeroError(
             f"zero at {lam!r} has relative |f'| < {DEGENERATE_FPRIME_TOL:g}; "
             "it may have multiplicity > 1"
@@ -286,10 +299,14 @@ def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroReco
     """One converged, cross-checked ZeroRecord per admissible nu in [nu_lo, nu_hi].
 
     Indices with |nu| < nu_min(q) (including nu = 0) are skipped.  Each kept
-    index is seeded with the asymptotic guess, refined independently by the
-    fixed-point map and by Newton, and the two results must agree; the Newton
-    result is recorded.  Records are sorted by Im and guarded against
-    collapse (DuplicateZeroError if two land within 1e-6).
+    index is seeded with the asymptotic guess and refined on its branch
+    equation g(xi) = xi - c - k*Log(2*pi*i*nu + xi) = 0 (see the module
+    docstring) independently by the fixed-point map and by Newton on g; the
+    two must agree within 1e-6 (CertificationError otherwise), and the Newton
+    zero is recorded with residual = relative_magnitude(q, zero).  Either
+    refiner past its step budget raises NotConvergedError.  Records are
+    sorted by Im and guarded against collapse (DuplicateZeroError if two land
+    within 1e-6).
     """
     if not (isinstance(nu_lo, int) and isinstance(nu_hi, int)):
         raise InvalidQueryError(f"nu range must be integers, got {nu_lo!r}..{nu_hi!r}")
@@ -307,22 +324,21 @@ def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroReco
     for nu in range(nu_lo, nu_hi + 1):
         if abs(nu) < floor:
             continue
-        guess, fp_lam, fp_iters = _fixedpoint_branch(
+        guess, fp_lam, fp_iters, lam, nw_iters = _refine_branch(
             q, mirror, nu, FIXEDPOINT_MAX_ITER, FIXEDPOINT_TOL
         )
-        rec = newton_refine(q, guess)
-        if abs(rec.refined - fp_lam) > _REFINER_AGREEMENT_TOL:
+        if abs(lam - fp_lam) > _REFINER_AGREEMENT_TOL:
             raise CertificationError(
-                f"refiners disagree at nu = {nu}: Newton {rec.refined!r} vs "
+                f"refiners disagree at nu = {nu}: Newton {lam!r} vs "
                 f"fixed point {fp_lam!r}"
             )
         records.append(
             ZeroRecord(
                 nu=nu,
-                guess=rec.guess,
-                refined=rec.refined,
-                residual=rec.residual,
-                newton_iters=rec.newton_iters,
+                guess=guess,
+                refined=lam,
+                residual=relative_magnitude(q, lam),
+                newton_iters=nw_iters,
                 fixedpoint_iters=fp_iters,
             )
         )

@@ -104,3 +104,34 @@ def lambert_w_zeros(k: int, a: complex, im_max: float) -> list[complex]:
                 assert residual < 1e-20, f"{lam} is not a zero"
                 zeros.append(complex(lam))
     return zeros
+
+
+def lambert_w_chain_zero(k: int, a: complex, nu: int) -> complex:
+    """The zero of e^lambda + a*lambda^k on chain branch nu != 0, at 30 digits.
+
+    For nu >= 1 the branch equation is lambda - k*Log(lambda) = c with
+    c = ln|a| + i*(arg a + pi + 2*pi*nu); nu <= -1 is the conjugate of branch
+    -nu for conj(a).  Writing lambda = -k*W with Im W < 0 turns it into
+    W + Log W = z with z = -c/k - ln k - i*pi, solved by the Wright omega
+    function W_K(e^z), K = ceil((Im z - pi) / (2*pi)) (Corless et al. 1996).
+    For real a, e^z lies on the cut of W and rounding can pick the neighbour
+    of K, so K - 1 and K + 1 are tried when K does not solve the branch
+    equation.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    if nu < 0:
+        return lambert_w_chain_zero(k, complex(a).conjugate(), -nu).conjugate()
+    assert nu > 0, "nu = 0 does not index a chain zero"
+    with mpmath.workdps(30):
+        a_mp = mpmath.mpc(a)
+        c = mpmath.log(abs(a_mp)) + 1j * (mpmath.arg(a_mp) + mpmath.pi * (1 + 2 * nu))
+        z = -c / k - mpmath.log(k) - 1j * mpmath.pi
+        branch = int(mpmath.ceil((z.imag - mpmath.pi) / (2 * mpmath.pi)))
+        for m in (branch, branch - 1, branch + 1):
+            lam = -k * mpmath.lambertw(mpmath.exp(z), m)
+            if abs(lam - k * mpmath.log(lam) - c) < 1e-20 * max(1, abs(lam)):
+                break
+        else:
+            raise AssertionError(f"no Lambert-W branch near {branch} solves branch {nu}")
+        assert lam.imag > 0, f"{lam} is not on the upper chain"
+        return complex(lam)

@@ -18,13 +18,11 @@ from quasizero import (
     InvalidQueryError,
     Quasipolynomial,
     RegionKind,
-    asymptotic_guess,
     classify,
     count_zeros_rect,
     estimate_c_delta,
     min_h_t1,
     min_h_t2,
-    newton_refine,
     quadrangle,
     sigma,
     verify_eq3,
@@ -33,6 +31,7 @@ from quasizero import (
 from quasizero import Rect
 from conftest import (
     bisect_root,
+    lambert_w_chain_zero,
     lambert_w_zeros,
     point_in_polygon,
     polygon_signed_area,
@@ -356,13 +355,13 @@ class TestReportsMatchTheReference:
 
 
 def _corner_oracle(q, nu, h):
-    """Corners recomputed from scratch: refine the two cut-line zeros, then
-    bisect x - k*ln|x+iy| = level on each cut line."""
+    """Corners recomputed from scratch: the two cut-line zeros from Lambert W,
+    then bisect x - k*ln|x+iy| = level on each cut line."""
     offset = (math.pi + q.k * math.pi / 2 + q.arg_a) % (2 * math.pi)
     if offset == 0.0:
         offset = 2 * math.pi
-    z_lo = newton_refine(q, asymptotic_guess(q, nu)).refined
-    z_hi = newton_refine(q, asymptotic_guess(q, nu + 1)).refined
+    z_lo = lambert_w_chain_zero(q.k, q.a, nu)
+    z_hi = lambert_w_chain_zero(q.k, q.a, nu + 1)
     corners = []
     for level, y in [
         (-h, z_lo.imag - offset),
@@ -409,7 +408,7 @@ class TestQuadrangle:
     @pytest.mark.parametrize("nu", [5, 10, -5])
     def test_contains_its_zero_counterclockwise(self, q, nu):
         geom = quadrangle(q, nu, 2.0)
-        zero = newton_refine(q, asymptotic_guess(q, nu)).refined
+        zero = lambert_w_chain_zero(q.k, q.a, nu)
         assert point_in_polygon(zero, geom.corners)
         assert polygon_signed_area(geom.corners) > 0
 
@@ -421,8 +420,25 @@ class TestQuadrangle:
         q = Quasipolynomial(1, 3j)
         for nu in (5, 40):
             geom = quadrangle(q, nu, 2.0)
-            zero = newton_refine(q, asymptotic_guess(q, nu)).refined
+            zero = lambert_w_chain_zero(q.k, q.a, nu)
             assert point_in_polygon(zero, geom.corners)
+
+    @pytest.mark.parametrize(
+        "q, nu, h",
+        [
+            # cut at the neighbouring zeros, 6.29 above the branch zero
+            (Quasipolynomial(57, complex(-2.9187253475711652e16, -7051242231281229.0)), 775, 40.0),
+            # refining the cut zeros from their asymptotic seeds diverged
+            (Quasipolynomial(4, 1), 5, 2.0),
+            (Quasipolynomial(4, 1), -5, 2.0),
+        ],
+    )
+    def test_cut_lines_bracket_the_branch_zero(self, q, nu, h):
+        geom = quadrangle(q, nu, h)
+        zero = lambert_w_chain_zero(q.k, q.a, nu)
+        bl, _, _, tl = geom.corners
+        assert bl.imag < zero.imag < tl.imag
+        assert point_in_polygon(zero, geom.corners)
 
     def test_enclosing_rectangle_counts_one_zero(self):
         geom = quadrangle(Q11, 10, 2.0)
