@@ -15,6 +15,14 @@ cut point is bisected again) and walks the two cross lines once; each half
 of a cross line serves both children beside it, one in each direction, and
 a child's count is the sum of the steps along its four edges.
 
+A box that counts 1 but is wider than eps is not split first.  The first
+moment (1/2 pi i) * contour integral of lambda f'/f over it is its zero
+(Delves & Lyness 1967; Kravanja & Van Barel, LNM 1727), and the samples its
+edges already hold give that integral with no new evaluation.  When the sum
+over every sample and the sum over every other sample agree within eps/2,
+one square of diameter <= eps around the moment is walked; if it counts 1,
+it is the box returned.  Any other outcome falls back to the split.
+
 An edge with more than _BATCH_KNOTS interior knots has them evaluated in one
 numpy pass, and its phase steps checked at once; it goes back to the scalar
 bisection loop only from its first rejected piece.  Below that length numpy's
@@ -70,6 +78,11 @@ MIN_MAX_DEPTH = 8
 #: deterministic relative offsets tried for interior split lines when a zero
 #: lands on one (first entry is the unjittered split)
 _SPLIT_JITTER = ((0.0, 0.0), (1e-4, 1e-4), (-2e-4, 1.5e-4), (2.5e-4, -2e-4))
+
+#: half-side, relative to eps, of the square that finishes an isolation box
+#: holding one zero; just under 1/(2*sqrt(2)), so that rounding the square's
+#: sides does not take its diameter past eps except far from the origin
+_CENTROID_HALF_SIDE = 0.3535
 
 #: edges with more interior knots than this evaluate them in one numpy pass.
 #: The pass costs a fixed ~40 us (about forty numpy calls) plus ~0.3 us per
@@ -667,6 +680,74 @@ def _split(
     ]
 
 
+def _centroids(q: Quasipolynomial, box: Rect, edges: list[_Edge]) -> tuple[complex, complex]:
+    """The first moment (1/2 pi i) * contour integral of lambda f'/f over the
+    walked edges of box, over every sample and over every other sample.
+
+    Each sum is sum(mid(lambda_i, lambda_j) * (log f_j - log f_i)) over
+    neighbouring samples, with ln|f| = ln relmag + ln max(|e^lambda|,
+    |a lambda^k|) and the phase unwrapped by the walked steps, so it takes no
+    evaluation.  When box holds exactly one zero the moment is that zero
+    (Delves & Lyness, Math. Comp. 21, 1967); the two sums differ by about the
+    error of the coarser one.
+    """
+    c = box.center
+    pts = [edges[0].pts[0]] + [p for e in edges for p in e.pts[1:]]
+    relmags = [edges[0].vals[0][1]] + [v[1] for e in edges for v in e.vals[1:]]
+    steps = [d for e in edges for d in e.steps]
+    # ln|a lambda^k|, and ln|f| = ln relmag + the larger of it and Re lambda;
+    # at lambda = 0, f = 1 with relmag 1
+    alg = [q.log_abs_a + q.k * math.log(abs(p)) if p else -math.inf for p in pts]
+    logs = [math.log(m) + (p.real if p.real > a else a) for p, m, a in zip(pts, relmags, alg)]
+    dlog = [complex(l1 - l0, d) for l0, l1, d in zip(logs, logs[1:], steps)]
+    fine = sum((0.5 * (p0 + p1) - c) * d for p0, p1, d in zip(pts, pts[1:], dlog))
+    coarse = sum(
+        (0.5 * (p0 + p1) - c) * (d0 + d1)
+        for p0, p1, d0, d1 in zip(pts[::2], pts[2::2], dlog[::2], dlog[1::2])
+    )
+    if len(dlog) % 2:
+        coarse += (0.5 * (pts[-2] + pts[-1]) - c) * dlog[-1]
+    return c + fine / (2j * math.pi), c + coarse / (2j * math.pi)
+
+
+def _centroid_box(
+    q: Quasipolynomial, box: Rect, edges: list[_Edge], eps: float, max_depth: int
+) -> Rect | None:
+    """A box of diameter <= eps inside box, holding its one zero, or None.
+
+    box counts 1 on its walked edges.  The square of half-side
+    _CENTROID_HALF_SIDE * eps around their first moment, clipped to box, is
+    walked only when the moment lies strictly inside box and the sums over
+    every sample and every other sample agree within eps/2; it is returned
+    when it counts exactly 1.  It lies in box, so it holds box's zero and the
+    rest of box holds none.  Every miss is logged at DEBUG.
+    """
+    z, coarse = _centroids(q, box, edges)
+    if not (
+        box.re_lo < z.real < box.re_hi
+        and box.im_lo < z.imag < box.im_hi
+        and abs(z - coarse) < 0.5 * eps
+    ):
+        _log.debug("centroid box in %r missed: gate (moment %r, coarse %r)", box, z, coarse)
+        return None
+    h = _CENTROID_HALF_SIDE * eps
+    re_lo, re_hi = max(box.re_lo, z.real - h), min(box.re_hi, z.real + h)
+    im_lo, im_hi = max(box.im_lo, z.imag - h), min(box.im_hi, z.imag + h)
+    if not (re_lo < re_hi and im_lo < im_hi) or math.hypot(re_hi - re_lo, im_hi - im_lo) > eps:
+        _log.debug("centroid box in %r missed: degenerate at %r", box, z)
+        return None
+    small = Rect(re_lo, re_hi, im_lo, im_hi)
+    try:
+        count = count_zeros_rect(q, small, max_depth).count
+    except (BoundaryZeroError, DepthExceededError, WindingError) as err:
+        _log.debug("centroid box %r in %r missed: %s", small, box, type(err).__name__)
+        return None
+    if count != 1:
+        _log.debug("centroid box %r in %r missed: count %d", small, box, count)
+        return None
+    return small
+
+
 def isolate_zeros(
     q: Quasipolynomial,
     rect: Rect,
@@ -677,9 +758,12 @@ def isolate_zeros(
     """Quadtree isolation: disjoint boxes of diameter <= eps, one zero each.
 
     Boxes counting 0 are dropped; boxes counting 1 with diameter <= eps are
-    returned; everything else is split into four children.  Every box keeps
-    its walked edges, so a split samples only its cross lines and the pieces
-    cut by them (see _split).  When a zero lands on an interior split line
+    returned.  A box counting 1 that is wider is first tried in one step
+    (see _centroid_box): a square of diameter <= eps inside it, around the
+    first moment of its walked edges, is returned when it counts 1.
+    Everything else is split into four children.  Every box keeps its walked
+    edges, so a split samples only its cross lines and the pieces cut by them
+    (see _split).  When a zero lands on an interior split line
     (BoundaryZeroError or DepthExceededError from a child), the split point
     is retried at a fixed sequence of relative jitters before the error is
     allowed to escape.  The union of returned boxes accounts for every zero
@@ -699,9 +783,11 @@ def isolate_zeros(
         box, count, level, edges = stack.pop()
         if count == 0:
             continue
-        if count == 1 and box.diameter <= eps:
-            out.append(box)
-            continue
+        if count == 1:
+            found = box if box.diameter <= eps else _centroid_box(q, box, edges, eps, max_depth)
+            if found is not None:
+                out.append(found)
+                continue
         if level >= max_subdivisions:
             raise DepthExceededError(
                 f"{count} zero(s) not separated after {max_subdivisions} subdivisions "

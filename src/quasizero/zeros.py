@@ -147,25 +147,25 @@ def _refine_branch(
     """(seed, fixed-point zero, its steps, Newton zero, its steps) for branch nu != 0.
 
     Both refiners solve g(xi) = 0 (module docstring) from the asymptotic seed.
-    mirror is q.conjugate(); branch nu < 0 is the conjugated branch -nu of it.
+    mirror is q.conjugate(); branch nu < 0 is the conjugated branch -nu of it,
+    and a NotConvergedError names nu and the last iterate on branch nu itself.
     """
-    if nu < 0:
-        seed, fp_lam, fp_iters, lam, iters = _refine_branch(mirror, q, -nu, fp_max_iter, fp_tol)
-        return seed.conjugate(), fp_lam.conjugate(), fp_iters, lam.conjugate(), iters
-    seed = _positive_guess(q, nu)
-    anchor = 2j * math.pi * nu
-    const = q.log_abs_a + 1j * (q.arg_a + math.pi)
+    conj = nu < 0
+    p = mirror if conj else q
+    seed = _positive_guess(p, abs(nu))
+    anchor = 2j * math.pi * abs(nu)
+    const = p.log_abs_a + 1j * (p.arg_a + math.pi)
 
     xi = seed - anchor
     for fp_iters in range(1, fp_max_iter + 1):
-        nxt = const + q.k * cmath.log(anchor + xi)
+        nxt = const + p.k * cmath.log(anchor + xi)
         if abs(nxt - xi) < fp_tol:
             break
         xi = nxt
     else:
         raise NotConvergedError(
             f"fixed-point refinement for nu = {nu} did not converge in {fp_max_iter} steps",
-            last=anchor + xi,
+            last=(anchor + xi).conjugate() if conj else anchor + xi,
             iterations=fp_max_iter,
         )
     fp_lam = anchor + nxt
@@ -175,14 +175,17 @@ def _refine_branch(
     xi = seed - anchor
     for nw_iters in range(1, NEWTON_MAX_ITER + 1):
         lam = anchor + xi
-        step = (xi - const - q.k * cmath.log(lam)) / (1.0 - q.k / lam)
+        step = (xi - const - p.k * cmath.log(lam)) / (1.0 - p.k / lam)
         xi -= step
         if abs(step) < _BRANCH_STEP_TOL * max(1.0, abs(xi)):
-            return seed, fp_lam, fp_iters, anchor + xi, nw_iters
+            lam = anchor + xi
+            if conj:
+                return seed.conjugate(), fp_lam.conjugate(), fp_iters, lam.conjugate(), nw_iters
+            return seed, fp_lam, fp_iters, lam, nw_iters
     raise NotConvergedError(
         f"Newton on the branch equation for nu = {nu} did not converge in "
         f"{NEWTON_MAX_ITER} steps",
-        last=anchor + xi,
+        last=(anchor + xi).conjugate() if conj else anchor + xi,
         iterations=NEWTON_MAX_ITER,
     )
 

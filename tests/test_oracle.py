@@ -25,8 +25,64 @@ from quasizero import (
     isolate_zeros,
     newton_refine,
 )
+from conftest import lambert_w_zeros
 
 Q11 = Quasipolynomial(1, 1)
+
+#: the boxes of the quadtree alone, without the centroid step, on the
+#: isolation inputs of TestIsolateZeros and TestBatchedKnotsMatchTheScalarWalk
+QUADTREE_BOXES = [
+    (
+        Q11, Rect(-2, 2, -2, 2), 1e-3,
+        [(-0.56758466796875, -0.5670962890625, -8.837890625e-05, 0.0004)],
+    ),
+    (Q11, Rect(50, 54, 0, 4), 0.5, []),
+    (
+        Q11, Rect(0, 4, 8, 30), 0.05,
+        [
+            (2.3984375, 2.40625, 10.75, 10.79296875),
+            (2.8515625, 2.859375, 17.109375, 17.15234375),
+            (3.15625, 3.1640625, 23.42578125, 23.46875),
+            (3.3984375, 3.40625, 29.69921875, 29.7421875),
+        ],
+    ),
+    (
+        Q11, Rect(0, 4, 8, 30), 0.1,
+        [
+            (2.390625, 2.40625, 10.75, 10.8359375),
+            (2.84375, 2.859375, 17.109375, 17.1953125),
+            (3.15625, 3.171875, 23.3828125, 23.46875),
+            (3.390625, 3.40625, 29.65625, 29.7421875),
+        ],
+    ),
+    (
+        Quasipolynomial(2, 1.5 - 0.5j), Rect(-5, 9, -40.1, 40.3), 0.5,
+        [
+            (7.7421875, 7.796875, -37.901562500000004, -37.587500000000006),
+            (7.359375, 7.4140625, -31.30625, -30.9921875),
+            (6.921875, 6.9765625, -25.025, -24.7109375),
+            (6.375, 6.4296875, -18.74375, -18.4296875),
+            (5.609375, 5.6640625, -12.148437500000002, -11.834375000000001),
+            (4.2421875, 4.296875, -5.239062500000001, -4.925000000000002),
+            (-0.1875, -0.1328125, -0.8421875000000021, -0.5281250000000021),
+            (-0.3515625, -0.296875, 0.41406249999999784, 0.7281249999999978),
+            (4.0234375, 4.078125, 4.182812499999997, 4.4968749999999975),
+            (5.5, 5.5546875, 11.092187499999996, 11.406249999999996),
+            (6.3203125, 6.375, 17.687499999999996, 18.0015625),
+            (6.8671875, 6.921875, 23.968749999999993, 24.28281249999999),
+            (7.3046875, 7.359375, 30.5640625, 30.878124999999997),
+            (7.6875, 7.7421875, 36.8453125, 37.159375),
+        ],
+    ),
+    (
+        Q11, Rect(-9, 9, -9, 9), 0.5,
+        [
+            (1.4077687499999998, 1.6889625, -4.4991, -4.21779375),
+            (-0.84211875, -0.5608125, -0.27950625, 0.0018000000000000002),
+            (1.4077687499999998, 1.6889625, 4.21970625, 4.5009),
+        ],
+    ),
+]
 
 
 class TestRectCount:
@@ -170,10 +226,42 @@ class TestIsolateZeros:
             isolate_zeros(Q11, Rect(0, 1, 0, 1), eps=0.5, max_depth=5)
 
 
+class TestCentroidBoxes:
+    """A box holding one zero but wider than eps is finished by one square
+    around the first moment of its walked edges, when that square counts 1."""
+
+    @pytest.mark.parametrize("q, rect, eps, quadtree", QUADTREE_BOXES)
+    def test_a_centroid_that_always_misses_leaves_the_quadtree(
+        self, monkeypatch, q, rect, eps, quadtree
+    ):
+        monkeypatch.setattr(oracle, "_centroid_box", lambda *args: None)
+        boxes = isolate_zeros(q, rect, eps)
+        assert repr(boxes) == repr([Rect(*b) for b in quadtree])
+
+    @pytest.mark.parametrize("q, rect, eps, quadtree", QUADTREE_BOXES)
+    def test_each_box_holds_one_reference_zero(self, q, rect, eps, quadtree):
+        far = max(abs(rect.im_lo), abs(rect.im_hi))
+        zeros = [z for z in lambert_w_zeros(q.k, q.a, far) if rect.contains(z)]
+        boxes = isolate_zeros(q, rect, eps)
+        assert len(boxes) == len(zeros) == len(quadtree)
+        for box in boxes:
+            assert box.diameter <= eps
+            assert sum(box.contains(z) for z in zeros) == 1
+
+    def test_the_moment_of_a_one_zero_box_is_its_zero(self, omega):
+        # the walked edges of Rect(-1, 0, -0.5, 0.5), from the walker itself
+        box = Rect(-1, 0, -0.5, 0.5)
+        edges = list(oracle._walk_rect(Q11, box, oracle.DEFAULT_MAX_DEPTH, oracle._WalkStats()))
+        fine, coarse = oracle._centroids(Q11, box, edges)
+        assert abs(fine - omega) < abs(coarse - omega) < 0.05
+        assert abs(fine - omega) < 0.01
+
+
 class TestIsolationSharesEdges:
-    def test_cost_stays_within_six_root_counts(self, monkeypatch):
+    def test_cost_stays_within_three_and_a_half_root_counts(self, monkeypatch):
         # Before edge sharing this rectangle took 14,967 evaluations against
-        # 908 for its root count (16.5x).  Every point goes through either
+        # 908 for its root count (16.5x), and 4,445 before each one-zero box
+        # was finished at its centroid.  Every point goes through either
         # _eval_point or the batched kernel, which takes the knots of long
         # edges; counting both counts each evaluated point once.
         evals = [0]
@@ -196,7 +284,8 @@ class TestIsolationSharesEdges:
         assert root_evals == 908
         boxes = isolate_zeros(Q11, rect, eps=0.5)
         assert len(boxes) == root.count == 17
-        assert evals[0] <= 6 * root_evals
+        assert evals[0] == 2784
+        assert evals[0] <= 3.5 * root_evals
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -243,13 +332,43 @@ class TestIsolationLogsRetries:
         caplog.set_level(logging.DEBUG, logger="quasizero.oracle")
         boxes = isolate_zeros(Q11, self.RECT, eps=1e-3)
         assert len(boxes) == 1
-        retries = [r for r in caplog.records if r.name == "quasizero.oracle"]
+        records = [r for r in caplog.records if r.name == "quasizero.oracle"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        retries = [r for r in records if r.getMessage().startswith("split of")]
         assert retries
-        assert all(r.levelno == logging.DEBUG for r in retries)
         first = retries[0].getMessage()
         assert repr(self.RECT) in first
         assert "jitter (0, 0)" in first
         assert "DepthExceededError" in first or "BoundaryZeroError" in first
+
+    @pytest.mark.parametrize(
+        "offset, reasons",
+        [
+            # the root box's moments disagree by more than eps / 2
+            (None, ("gate",)),
+            # the square around this point holds no zero
+            (0.4 + 0.4j, ("count 0",)),
+            # the square's bottom edge runs through the zero
+            (oracle._CENTROID_HALF_SIDE * 1e-3 * 1j, ("BoundaryZeroError", "DepthExceededError")),
+        ],
+    )
+    def test_each_centroid_miss_is_logged_at_debug(
+        self, monkeypatch, caplog, omega, offset, reasons
+    ):
+        if offset is not None:
+            point = omega + offset
+            monkeypatch.setattr(oracle, "_centroids", lambda q, box, edges: (point, point))
+        caplog.set_level(logging.DEBUG, logger="quasizero.oracle")
+        boxes = isolate_zeros(Q11, self.RECT, eps=1e-3)
+        assert len(boxes) == 1 and boxes[0].contains(omega)
+        if offset is not None:
+            # every miss falls back to the split, down to the quadtree's box
+            assert repr(boxes) == repr([Rect(*QUADTREE_BOXES[0][3][0])])
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        misses = [r.getMessage() for r in caplog.records if "missed: " in r.getMessage()]
+        assert misses
+        assert f"in {self.RECT!r} missed: " in misses[0]
+        assert misses[0].rpartition("missed: ")[2].startswith(reasons)
 
     def test_nothing_is_logged_by_default(self, caplog, capsys):
         caplog.set_level(logging.WARNING)

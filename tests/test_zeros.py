@@ -26,6 +26,7 @@ from quasizero import (
     small_zeros,
     spacing_report,
 )
+from conftest import lambert_w_zeros
 
 Q11 = Quasipolynomial(1, 1)
 TWO_PI = 2 * math.pi
@@ -255,6 +256,19 @@ class TestSmallZeros:
         ]:
             zs = small_zeros(q, radius)
             assert len(zs) == count_zeros_disk(q, 0, radius).count
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 0.5 - 2j, 3j])
+    def test_zeros_match_lambert_w(self, k, a):
+        q = Quasipolynomial(k, a)
+        for radius in (1.5, 8.0, 20.0):
+            zs = small_zeros(q, radius)
+            ref = [z for z in lambert_w_zeros(k, a, radius) if abs(z) <= radius]
+            assert len(zs) == len(ref)
+            for z in zs:
+                nearest = min(ref, key=lambda w: abs(w - z))
+                assert abs(z - nearest) <= 1e-10 * max(1.0, abs(z))
+                ref.remove(nearest)
 
     def test_invalid_radius(self):
         with pytest.raises(InvalidQueryError):

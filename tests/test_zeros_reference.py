@@ -268,11 +268,21 @@ def test_chain_reaches_each_refiner_error(monkeypatch):
         with pytest.raises(NotConvergedError, match="fixed-point") as exc:
             enumerate_zeros(q, 5, 6)
         assert exc.value.iterations == 1
+        # a negative index is refined as the mirror's branch -nu, but the
+        # error names nu and the iterate on branch nu, in the lower half-plane
+        with pytest.raises(NotConvergedError, match="fixed-point") as exc:
+            enumerate_zeros(q, -6, -6)
+        assert "nu = -6 " in str(exc.value)
+        assert exc.value.last.imag < 0
     with monkeypatch.context() as m:
         m.setattr(zeros_mod, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NotConvergedError, match="Newton") as exc:
             enumerate_zeros(q, -6, -5)
         assert exc.value.iterations == 1
+        with pytest.raises(NotConvergedError, match="Newton") as exc:
+            enumerate_zeros(q, -6, -6)
+        assert "nu = -6 " in str(exc.value)
+        assert exc.value.last.imag < 0
     with monkeypatch.context() as m:
         m.setattr(zeros_mod, "_REFINER_AGREEMENT_TOL", -1.0)
         with pytest.raises(CertificationError, match="refiners disagree"):
