@@ -1,19 +1,31 @@
 """Certified zero counting via the argument principle.
 
 f is entire, so the number of zeros inside a closed contour equals the total
-change of arg(f) around it divided by 2*pi.  One edge walker samples f along
-every contour edge and bisects each piece until the phase change between
-neighbouring samples is below pi/2; the accumulated change is then
-guaranteed to be the true winding provided f never vanishes on the contour
-itself.  The phase is computed by factoring out whichever term of f
-dominates, so contours far out in the plane are handled without overflow.
+change of arg(f) around it divided by 2*pi.  One edge walker takes every
+contour edge as one piece and bisects it until each piece carries a proof of
+its phase change, checked on the disk D(m, l) around the piece's parametric
+midpoint m with l its half arc length, which holds the piece (Ying & Katz,
+Numer. Math. 52, 1988; Kravanja & Van Barel, LNM 1727, 2000):
+
+* dominance, with no evaluation: when one term of f (e^lambda or
+  a*lambda^k) is larger than the other everywhere on D, f = dom * (1 + w)
+  with |w| < 1, so the phase change is the dominant term's exact change plus
+  the principal change of 1 + w, read off the end samples;
+* the derivative bound, with one evaluation: when |f(m)| exceeds l times a
+  bound on |f'| over D, f(D) lies in a disk around f(m) that excludes 0, so
+  both halves' phase changes are principal differences of the samples.
+
+Both compare logarithms, with margins for rounding, so contours far out in
+the plane are handled without overflow.  A whole edge where one term
+dominates is one piece: the right edge of a tall rect turns hundreds of
+times at no evaluation.
 
 The walker returns its samples, not only their phase steps, so quadtree
 isolation never walks a line twice.  Every box keeps its four walked edges.
 Splitting it cuts each edge at its cut point (only the piece holding the
-cut point is bisected again) and walks the two cross lines once; each half
-of a cross line serves both children beside it, one in each direction, and
-a child's count is the sum of the steps along its four edges.
+cut point is walked again, in two halves) and walks the two cross lines
+once; each half of a cross line serves both children beside it, one in each
+direction, and a child's count is the sum of the steps along its four edges.
 
 A box that counts 1 but is wider than eps is not split first.  The first
 moment (1/2 pi i) * contour integral of lambda f'/f over it is its zero
@@ -21,14 +33,9 @@ moment (1/2 pi i) * contour integral of lambda f'/f over it is its zero
 edges already hold give that integral with no new evaluation.  When the sum
 over every sample and the sum over every other sample agree within eps/2,
 one square of diameter <= eps around the moment is walked; if it counts 1,
-it is the box returned.  Any other outcome falls back to the split.
-
-An edge with more than _BATCH_KNOTS interior knots has them evaluated in one
-numpy pass, and its phase steps checked at once; it goes back to the scalar
-bisection loop only from its first rejected piece.  Below that length numpy's
-fixed cost per call outweighs the saving, so short edges, most isolation
-cross lines among them, stay scalar.  Both paths give the same samples, bit
-for bit, and the same evaluation count.
+it is the box returned.  When they miss that but agree within 2 eps, f is
+evaluated once at the midpoint of every piece and the refined sum is gated
+against the walked one.  Any other outcome falls back to the split.
 
 This counter is the independent certificate for the refinement pipeline: it
 never looks inside the refiners, only at values of f along curves.
@@ -43,8 +50,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 from .core import Quasipolynomial
 from .errors import (
     BoundaryZeroError,
@@ -54,15 +59,10 @@ from .errors import (
     WindingError,
 )
 
-#: adjacent boundary samples must differ in phase by less than this
-PHASE_STEP_LIMIT = math.pi / 2
-
-#: contours are pre-sampled at least this densely (in arc length) before the
-#: adaptive test runs; the phase rate of f away from its zeros is of order
-#: max(1, k/|lambda|), so quarter-unit pieces keep the true per-piece change
-#: under pi/2 and the wrapped-step test honest (a coarser start can alias a
-#: whole turn into an apparently small step)
-INITIAL_PIECE_LENGTH = 0.25
+#: an edge of length L may be bisected max_depth + ceil(log2(L / _DEPTH_UNIT))
+#: times (max_depth when L <= _DEPTH_UNIT), so its finest piece is at most
+#: _DEPTH_UNIT * 2**-max_depth long at any L
+_DEPTH_UNIT = 0.25
 
 #: a contour sample with |f| below this, relative to the dominant term of f,
 #: is treated as "zero on the boundary"
@@ -71,7 +71,7 @@ BOUNDARY_REL_TOL = 1e-12
 #: the accumulated phase divided by 2*pi must be this close to an integer
 WINDING_INT_TOL = 1e-6
 
-#: default and minimum adaptive bisection depth per contour piece
+#: default and minimum adaptive bisection depth below _DEPTH_UNIT
 DEFAULT_MAX_DEPTH = 24
 MIN_MAX_DEPTH = 8
 
@@ -84,12 +84,14 @@ _SPLIT_JITTER = ((0.0, 0.0), (1e-4, 1e-4), (-2e-4, 1.5e-4), (2.5e-4, -2e-4))
 #: sides does not take its diameter past eps except far from the origin
 _CENTROID_HALF_SIDE = 0.3535
 
-#: edges with more interior knots than this evaluate them in one numpy pass.
-#: The pass costs a fixed ~40 us (about forty numpy calls) plus ~0.3 us per
-#: knot, against ~1.2 us per knot in the scalar loop: the two take the same
-#: time on edges of 32 to 40 pieces, and the pass is 2x faster at 128 pieces
-#: and 4x at 1000 (Python 3.11, numpy 2.4, one x86-64 VM core)
-_BATCH_KNOTS = 32
+#: relative slack of the certificates' log-domain comparisons, scaled by the
+#: magnitude of the terms compared: about 4,500 ulps, far above the rounding
+#: of |m|, ell and the k-fold logarithms for k <= 200 and |lambda| <= 1e7
+_CERT_MARGIN = 2.0**-40
+
+#: 16 ulps: the padding of a piece's half-length for the rounding of its
+#: points, and the unit of the rounding bound on a computed relative |f|
+_ULPS = 2.0**-48
 
 _log = logging.getLogger(__name__)
 
@@ -219,69 +221,6 @@ def _phase_and_relmag(q: Quasipolynomial, lam: complex) -> tuple[float, float]:
     return phase, relmag
 
 
-def _remainder_tau(x: np.ndarray) -> np.ndarray:
-    """math.remainder(x, tau) at every element of x, bit for bit.
-
-    The exact fmod, moved by tau towards zero where it is past tau/2 (exact
-    by Sterbenz's lemma); an exact tie takes the even multiple of tau, by
-    CPython's own formula.
-    """
-    r = np.fmod(x, math.tau)
-    half = np.abs(r)
-    np.subtract(r, np.copysign(math.tau, r), out=r, where=half > 0.5 * math.tau)
-    tie = half == 0.5 * math.tau
-    if np.count_nonzero(tie):
-        r[tie] -= 2.0 * np.fmod(0.5 * (x[tie] - r[tie]), math.tau)
-    return r
-
-
-def _phase_and_relmag_batch(
-    q: Quasipolynomial, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """_phase_and_relmag at every point of lam, bit for bit, as two arrays,
-    except that relmag is 0 (and phase nan) where it would raise.
-
-    The same dom/sub split, through the same C library functions: numpy's
-    complex log and exp are clog and cexp, and clog's imaginary part is the
-    atan2 that cmath.phase takes.  numpy's real log, exp and arctan2 are not
-    used: with AVX-512 they are vectorised and round differently.  clog and
-    cmath.log take log(hypot(x, y)) alike except near |lambda| = 1 (cmath.log
-    takes log1p for 0.71 <= |lambda| <= 1.73, glibc's clog where
-    max(|x|, |y|) is in [0.5, 2)) and where cmath.log rescales, beyond
-    DBL_MAX/4; the points with |ln|lambda|| < 1.1 or > 708, which include
-    those and lambda = 0, are given _phase_and_relmag itself.  Call inside
-    np.errstate: those points may overflow or divide by zero here first.
-    """
-    t_alg = np.log(lam)
-    ln_abs = np.abs(t_alg.real)
-    scalar = (ln_abs < 1.1) | (ln_abs > 708.0)
-    del ln_abs
-    t_alg *= q.k
-    t_alg += q.log_a
-    alg_dom = lam.real < t_alg.real
-    # sub - dom; lam - t_alg is -(t_alg - lam) up to the sign of a zero,
-    # which neither exp(sub - dom) nor 1 + exp(sub - dom) can show
-    rem = t_alg - lam
-    np.negative(rem, out=rem, where=alg_dom)
-    dom_imag = lam.imag.copy()
-    np.copyto(dom_imag, t_alg.imag, where=alg_dom)
-    del t_alg, alg_dom
-    np.exp(rem, out=rem)
-    rem += 1.0
-    relmag = np.hypot(rem.real, rem.imag)
-    dom_imag += np.log(rem, out=rem).imag
-    del rem
-    phase = _remainder_tau(dom_imag)
-    if np.count_nonzero(scalar):
-        at = np.flatnonzero(scalar)
-        for i, p in zip(at.tolist(), lam[at].tolist()):
-            try:
-                phase[i], relmag[i] = _phase_and_relmag(q, p)
-            except BoundaryZeroError:
-                phase[i], relmag[i] = math.nan, 0.0
-    return phase, relmag
-
-
 def _eval_point(
     q: Quasipolynomial, lam: complex, stats: _WalkStats
 ) -> tuple[float, float]:
@@ -293,20 +232,94 @@ def _eval_point(
     return ph, mag
 
 
-def _accepted_step(f0: tuple[float, float], f1: tuple[float, float]) -> float | None:
-    """Phase change over a contour piece with end values f0, f1, or None when
-    the piece must be bisected.
+def _dominance_step(
+    q: Quasipolynomial,
+    p0: complex,
+    f0: tuple[float, float],
+    p1: complex,
+    f1: tuple[float, float],
+    m: complex,
+    ell: float,
+) -> float | None:
+    """Phase change of f along the piece p0 -> p1, with end values f0, f1,
+    when one term of f dominates the other on the disk D(m, ell) holding the
+    piece; None when neither can be shown to.
 
-    This is the one acceptance rule for every piece of every contour.
+    e^lambda dominates when ln|a| + k ln(|m| + ell) < Re m - ell, and
+    a lambda^k when |m| > ell and Re m + ell < ln|a| + k ln(|m| - ell).  On D
+    then f = dom * (1 + w) with |w| < 1: the dominant term's phase change is
+    exact (Im lambda, or k times the change of arg lambda, which stays within
+    pi/2 of arg m), and 1 + w stays in the right half-plane, so its change is
+    the principal remainder of the rest.
     """
-    d = math.remainder(f1[0] - f0[0], math.tau)
-    return d if abs(d) < PHASE_STEP_LIMIT else None
+    r = abs(m)
+    k = q.k
+    log_abs_a = q.log_abs_a
+    # each lead is the smallest ln|dominant term| - ln|other term| on D; the
+    # cheap sign test comes first, as most pieces fail it
+    far = k * math.log(r + ell)
+    lead = m.real - ell - log_abs_a - far
+    if lead > 0 and lead > _CERT_MARGIN * (
+        1 + k + abs(log_abs_a) + abs(far) + abs(m.real) + ell
+    ):
+        turn = p1.imag - p0.imag
+    elif r > ell:
+        near = k * math.log(r - ell)
+        lead = log_abs_a + near - m.real - ell
+        # |m| - ell loses digits to cancellation as it nears ell
+        if not (lead > 0 and lead > _CERT_MARGIN * (
+            1 + k + abs(log_abs_a) + abs(near) + abs(m.real) + ell + k * (r + ell) / (r - ell)
+        )):
+            return None
+        turn = k * math.remainder(cmath.phase(p1) - cmath.phase(p0), math.tau)
+    else:
+        return None
+    return turn + math.remainder(f1[0] - f0[0] - turn, math.tau)
+
+
+def _derivative_certified(
+    q: Quasipolynomial, m: complex, fm: tuple[float, float], ell: float
+) -> bool:
+    """Whether |f(m)| > ell * (e^(Re m + ell) + |a| k (|m| + ell)^(k - 1)).
+
+    The right side bounds ell * |f'| over D(m, ell), so f maps the disk into
+    one around f(m) that excludes 0: arg f stays within pi/2 of arg f(m), and
+    the phase change from either end of a piece in D to m is the principal
+    difference of their phases.  Both sides are taken in the log domain;
+    |f(m)| is lowered by the rounding of its remainder factor 1 + w.
+    """
+    k = q.k
+    log_abs_a = q.log_abs_a
+    r = abs(m)
+    ln_r = math.log(r) if r else -math.inf  # f(0) = 1 exactly
+    alg = log_abs_a + k * ln_r
+    dom = m.real if m.real >= alg else alg
+    relmag = fm[1]
+    far = math.log(r + ell)
+    t_exp = m.real + ell
+    t_alg = log_abs_a + math.log(k) + (k - 1) * far
+    hi, lo = (t_exp, t_alg) if t_exp >= t_alg else (t_alg, t_exp)
+    log_ell = math.log(ell)
+    bound = log_ell + hi + math.log1p(math.exp(lo - hi))
+    if math.log(relmag) + dom <= bound:
+        return False
+    # the rounding of relmag = |1 + w|: of 1 + w itself, and |w| =
+    # e^-|Re m - alg| times the error of Log w's argument
+    err = 0.0
+    if r:
+        err = _ULPS * (
+            1.0 + math.exp(-abs(m.real - alg)) * (1 + r + abs(q.log_a) + k * (abs(ln_r) + 4))
+        )
+    slack = _CERT_MARGIN * (
+        1 + k + abs(dom) + abs(m.real) + ell + abs(log_abs_a) + k * abs(far) + abs(log_ell)
+    )
+    return relmag > err and math.log(relmag - err) + dom > bound + slack
 
 
 class _Edge:
     """A walked contour edge: its samples (points and (phase, relmag) values)
-    in walking order, and the wrapped phase step between each neighbouring
-    pair.
+    in walking order, and the phase change along each piece between
+    neighbouring samples.
 
     unresolved is set on the partial edge of a walk that stopped at the depth
     limit; that edge holds every sample the walk evaluated, and no steps.
@@ -349,22 +362,17 @@ class _Edge:
 
 
 class _Unresolved(Exception):
-    """A contour piece still rejected after max_depth bisections.
+    """A contour piece that neither certificate accepts after the depth limit.
 
-    point is the midpoint of the piece, step its wrapped phase step, and
-    partial the walk's edge up to here, with every sample it evaluated.
+    point is the midpoint of the piece, and partial the walk's edge up to
+    here, with every sample it evaluated.
     """
 
     def __init__(
-        self,
-        point: complex,
-        step: float,
-        pts: list[complex],
-        vals: list[tuple[float, float]],
+        self, point: complex, pts: list[complex], vals: list[tuple[float, float]]
     ) -> None:
-        super().__init__(point, step)
+        super().__init__(point)
         self.point = point
-        self.step = step
         self.partial = _Edge(pts, vals, [], self)
 
     def classify(self, min_mag: float, min_point: complex) -> QuasizeroError:
@@ -377,7 +385,7 @@ class _Unresolved(Exception):
                 magnitude=min_mag,
             )
         return DepthExceededError(
-            f"phase step {abs(self.step):.3f} >= pi/2 after exhausting bisection depth "
+            "contour piece not certified after exhausting bisection depth "
             f"near {self.point!r}"
         )
 
@@ -393,127 +401,58 @@ def _walk_edge(
 ) -> _Edge:
     """Walk point_of([0, 1]) from start to end, each a (point, value) pair.
 
-    The edge is pre-split into equal pieces no longer than
-    INITIAL_PIECE_LENGTH, and each piece is bisected until _accepted_step
-    accepts it, at most max_depth times.  Raises _Unresolved, with the
-    samples evaluated so far as its partial edge, when a piece is still
-    rejected at that depth.
-
-    With more than _BATCH_KNOTS interior knots, point_of takes them as one
-    array and _batch_knots evaluates them and checks every piece at once;
-    the loop below then starts at the first rejected piece, if there is one.
+    Each piece, from the whole edge down, is checked on the disk D(m, ell)
+    around its parametric midpoint m, with ell its half arc length (padded
+    for rounding), which holds the piece.  _dominance_step accepts it with
+    no evaluation; otherwise f(m) is evaluated, and _derivative_certified
+    accepts it with m kept as a sample between two principal steps.  A
+    piece neither accepts is bisected at m, at most max_depth +
+    ceil(log2(length / _DEPTH_UNIT)) times along any path, so the finest
+    piece is _DEPTH_UNIT * 2**-max_depth long.  Raises _Unresolved, with the
+    samples evaluated so far as its partial edge, when a piece at that depth
+    is still rejected.
     """
-    n = max(1, math.ceil(length / INITIAL_PIECE_LENGTH))
-    first = 0
-    steps: list[float] = []
-    if n - 1 > _BATCH_KNOTS:
-        knots, knot_vals, steps, first = _batch_knots(q, point_of, n, start, end, stats)
-    else:
-        knots, knot_vals = [start[0]], [start[1]]
-        for i in range(1, n):
-            p = point_of(i / n)
-            knots.append(p)
-            knot_vals.append(_eval_point(q, p, stats))
-        knots.append(end[0])
-        knot_vals.append(end[1])
-    # the samples are the knots themselves until a piece needs bisection
-    pts: list[complex] | None = None
-    vals: list[tuple[float, float]] = []
-    for i in range(first, n):
-        f0, f1 = knot_vals[i], knot_vals[i + 1]
-        d = _accepted_step(f0, f1)
-        if d is not None:
-            steps.append(d)
-            if pts is not None:
-                pts.append(knots[i + 1])
-                vals.append(f1)
-            continue
-        if pts is None:
-            pts, vals = knots[: i + 1], knot_vals[: i + 1]
-        # bisect the piece; pending holds the right ends of its parts still
-        # to walk, the next one last: (parameter, point, value, depth left)
-        t0 = i / n
-        pending = [((i + 1) / n, knots[i + 1], f1, max_depth)]
-        while pending:
-            t1, p1, f1, depth = pending[-1]
-            d = _accepted_step(f0, f1)
-            if d is not None:
-                pending.pop()
-                pts.append(p1)
-                vals.append(f1)
-                steps.append(d)
-                t0, f0 = t1, f1
+    depth = max_depth + max(0, math.ceil(math.log2(length / _DEPTH_UNIT)))
+    p0, f0 = start
+    t0 = 0.0
+    pts, vals, steps = [p0], [f0], []
+    # the right ends of the pieces still to walk, the next one last:
+    # (parameter, point, value, depth left)
+    pending = [(1.0, end[0], end[1], depth)]
+    while pending:
+        t1, p1, f1, depth = pending[-1]
+        tm = 0.5 * (t0 + t1)
+        m = point_of(tm)
+        ell = 0.5 * length * (t1 - t0) + _ULPS * (abs(m) + length)
+        d = _dominance_step(q, p0, f0, p1, f1, m, ell)
+        if d is None:
+            fm = _eval_point(q, m, stats)
+            if _derivative_certified(q, m, fm, ell):
+                pts.append(m)
+                vals.append(fm)
+                steps.append(math.remainder(fm[0] - f0[0], math.tau))
+                d = math.remainder(f1[0] - fm[0], math.tau)
             elif depth > 0:
-                tm = 0.5 * (t0 + t1)
-                pm = point_of(tm)
                 pending[-1] = (t1, p1, f1, depth - 1)
-                pending.append((tm, pm, _eval_point(q, pm, stats), depth - 1))
+                pending.append((tm, m, fm, depth - 1))
+                continue
             else:
                 raise _Unresolved(
-                    point_of(0.5 * (t0 + t1)),
-                    math.remainder(f1[0] - f0[0], math.tau),
-                    pts + [e[1] for e in reversed(pending)] + knots[i + 2 :],
-                    vals + [e[2] for e in reversed(pending)] + knot_vals[i + 2 :],
+                    m,
+                    pts + [m] + [e[1] for e in reversed(pending)],
+                    vals + [fm] + [e[2] for e in reversed(pending)],
                 )
+        pending.pop()
+        pts.append(p1)
+        vals.append(f1)
+        steps.append(d)
+        t0, p0, f0 = t1, p1, f1
     stats.segments += len(steps)
-    if pts is None:
-        return _Edge(knots, knot_vals, steps)
     return _Edge(pts, vals, steps)
 
 
-def _batch_knots(
-    q: Quasipolynomial,
-    point_of: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    start: tuple[complex, tuple[float, float]],
-    end: tuple[complex, tuple[float, float]],
-    stats: _WalkStats,
-) -> tuple[list[complex], list[tuple[float, float]], list[float], int]:
-    """The knots of an edge of n pieces and their values, evaluated in one
-    numpy pass, with the steps of its leading accepted pieces and the index
-    of its first rejected piece (n when every piece passes _accepted_step).
-
-    stats changes as n - 1 calls of _eval_point in walking order would
-    change it, up to the first knot where f vanishes, which raises the same
-    BoundaryZeroError.
-    """
-    with np.errstate(all="ignore"):
-        inner = point_of(np.arange(1.0, n) / n)
-        phase, relmag = _phase_and_relmag_batch(q, inner)
-        knots = [start[0], *inner.tolist(), end[0]]
-        del inner
-        # argmin takes the first minimum: the first knot where f vanishes,
-        # if any, and otherwise the knot _eval_point would record
-        j = int(relmag.argmin())
-        done = n - 1
-        if relmag[j] == 0.0:
-            done = j
-            j = int(relmag[:done].argmin()) if done else 0
-        if done and relmag[j] < stats.min_mag:
-            stats.min_mag = float(relmag[j])
-            stats.min_mag_point = knots[j + 1]
-        stats.evals += done
-        if done < n - 1:
-            lam = knots[done + 1]
-            raise BoundaryZeroError(
-                f"f vanished at contour point {lam!r}", point=lam, magnitude=0.0
-            )
-        d = np.empty(n)
-        d[0] = phase[0] - start[1][0]
-        np.subtract(phase[1:], phase[:-1], out=d[1:-1])
-        d[-1] = end[1][0] - phase[-1]
-        d = _remainder_tau(d)
-        accepted = np.abs(d) < PHASE_STEP_LIMIT
-        first = int(accepted.argmin())
-        if accepted[first]:
-            first = n
-        knot_vals = [start[1], *zip(phase.tolist(), relmag.tolist()), end[1]]
-        return knots, knot_vals, d[:first].tolist(), first
-
-
 def _segment(p0: complex, p1: complex) -> Callable[[float], complex]:
-    """The point p0 + t*(p1 - p0); t may also be an array of parameters,
-    giving the same points bit for bit."""
+    """The point p0 + t*(p1 - p0)."""
     d = p1 - p0
     return lambda t: p0 + t * d
 
@@ -556,11 +495,12 @@ def count_zeros_rect(
     """Number of zeros of f inside rect, certified by the argument principle.
 
     The boundary is walked counterclockwise; each edge is bisected until
-    adjacent phase samples differ by less than pi/2.  Raises BoundaryZeroError
-    when |f| (relative to its dominant term) drops below 1e-12 on the contour
-    (perturb the rectangle and retry), DepthExceededError when bisection depth
-    runs out away from a vanishing |f|, and WindingError if the accumulated
-    phase fails the integer consistency check.
+    the phase change along every piece is certified (see _walk_edge).
+    Raises BoundaryZeroError when |f| (relative to its dominant term) drops
+    below 1e-12 on the contour (perturb the rectangle and retry),
+    DepthExceededError when bisection depth runs out away from a vanishing
+    |f|, and WindingError if the accumulated phase fails the integer
+    consistency check.
     """
     if max_depth < MIN_MAX_DEPTH:
         raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
@@ -582,9 +522,7 @@ def count_zeros_disk(
     stats = _WalkStats()
 
     def point_of(t: float) -> complex:
-        # numpy's complex exp is the C library's cexp, equal to cmath.exp
-        exp = np.exp if isinstance(t, np.ndarray) else cmath.exp
-        return disk.center + disk.radius * exp(1j * t)
+        return disk.center + disk.radius * cmath.exp(1j * t)
 
     anchors = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau]
     ends = [(p, _eval_point(q, p, stats)) for p in map(point_of, anchors[:4])]
@@ -710,25 +648,75 @@ def _centroids(q: Quasipolynomial, box: Rect, edges: list[_Edge]) -> tuple[compl
     return c + fine / (2j * math.pi), c + coarse / (2j * math.pi)
 
 
+def _refined(q: Quasipolynomial, edge: _Edge, stats: _WalkStats) -> _Edge:
+    """edge with f evaluated at the midpoint of each piece, which splits the
+    piece's step in two.
+
+    The first half takes _dominance_step on its own disk, and otherwise the
+    principal difference, which is exact on a piece the derivative bound
+    accepted; the second half takes the rest of the step.
+    """
+    pts, vals, steps = [edge.pts[0]], [edge.vals[0]], []
+    for p0, f0, p1, f1, d in zip(edge.pts, edge.vals, edge.pts[1:], edge.vals[1:], edge.steps):
+        mid = 0.5 * (p0 + p1)
+        fm = _eval_point(q, mid, stats)
+        ell = 0.5 * abs(mid - p0) + _ULPS * (abs(mid) + abs(p1 - p0))
+        half = _dominance_step(q, p0, f0, mid, fm, 0.5 * (p0 + mid), ell)
+        if half is None:
+            half = math.remainder(fm[0] - f0[0], math.tau)
+        pts += (mid, p1)
+        vals += (fm, f1)
+        steps += (half, d - half)
+    return _Edge(pts, vals, steps)
+
+
+def _gate(box: Rect, z: complex, other: complex, eps: float) -> bool:
+    """Whether the moment z lies strictly inside box and within eps/2 of the
+    estimate other."""
+    return (
+        box.re_lo < z.real < box.re_hi
+        and box.im_lo < z.imag < box.im_hi
+        and abs(z - other) < 0.5 * eps
+    )
+
+
+def _moments(
+    q: Quasipolynomial, box: Rect, edges: list[_Edge], eps: float, stats: _WalkStats
+) -> tuple[complex, complex]:
+    """The first moment of box that isolation gates, and the estimate it is
+    gated against.
+
+    These are _centroids of the walked edges, unless they miss the gate
+    while agreeing within 2 eps: then every piece is refined once
+    (_refined), about quartering the midpoint rule's error, and the moment
+    over the refined samples is gated against the one over the walked
+    samples, which is its sum over every other sample.
+    """
+    z, other = _centroids(q, box, edges)
+    if not _gate(box, z, other, eps) and abs(z - other) < 2 * eps:
+        z, other = _centroids(q, box, [_refined(q, e, stats) for e in edges])
+    return z, other
+
+
 def _centroid_box(
-    q: Quasipolynomial, box: Rect, edges: list[_Edge], eps: float, max_depth: int
+    q: Quasipolynomial,
+    box: Rect,
+    edges: list[_Edge],
+    eps: float,
+    max_depth: int,
+    stats: _WalkStats,
 ) -> Rect | None:
     """A box of diameter <= eps inside box, holding its one zero, or None.
 
     box counts 1 on its walked edges.  The square of half-side
-    _CENTROID_HALF_SIDE * eps around their first moment, clipped to box, is
-    walked only when the moment lies strictly inside box and the sums over
-    every sample and every other sample agree within eps/2; it is returned
-    when it counts exactly 1.  It lies in box, so it holds box's zero and the
-    rest of box holds none.  Every miss is logged at DEBUG.
+    _CENTROID_HALF_SIDE * eps around their first moment (_moments), clipped
+    to box, is walked only when the moment passes _gate; it is returned
+    when it counts exactly 1.  It lies in box, so it holds box's zero and
+    the rest of box holds none.  Every miss is logged at DEBUG.
     """
-    z, coarse = _centroids(q, box, edges)
-    if not (
-        box.re_lo < z.real < box.re_hi
-        and box.im_lo < z.imag < box.im_hi
-        and abs(z - coarse) < 0.5 * eps
-    ):
-        _log.debug("centroid box in %r missed: gate (moment %r, coarse %r)", box, z, coarse)
+    z, other = _moments(q, box, edges, eps, stats)
+    if not _gate(box, z, other, eps):
+        _log.debug("centroid box in %r missed: gate (moment %r, coarse %r)", box, z, other)
         return None
     h = _CENTROID_HALF_SIDE * eps
     re_lo, re_hi = max(box.re_lo, z.real - h), min(box.re_hi, z.real + h)
@@ -784,7 +772,10 @@ def isolate_zeros(
         if count == 0:
             continue
         if count == 1:
-            found = box if box.diameter <= eps else _centroid_box(q, box, edges, eps, max_depth)
+            found = (
+                box if box.diameter <= eps
+                else _centroid_box(q, box, edges, eps, max_depth, stats)
+            )
             if found is not None:
                 out.append(found)
                 continue

@@ -55,6 +55,12 @@ NEWTON_TOL = 1e-12
 #: step budget of both Newton iterations, on f and on a branch equation
 NEWTON_MAX_ITER = 50
 
+#: newton_refine also stops after a step of at most this many units of
+#: |lambda| (4 ulps): rounding lambda alone leaves a relative |f| near
+#: |lambda| * 2**-53, which is above NEWTON_TOL once |lambda| is above a few
+#: thousand
+_NEWTON_STEP_ULPS = 4 * 2.0**-52
+
 #: newton_refine iterates must stay within this distance of their seed
 NEWTON_TRUST_RADIUS = 5.0
 
@@ -251,9 +257,11 @@ def newton_refine(
     branch index of its iterates jumps by k from one step to the next.
 
     Stops when the relative residual |f| / max(|e^lambda|, |a*lambda^k|)
-    drops below tol; a seed that already satisfies this returns with zero
-    iterations.  Raises DivergedError when an iterate leaves the disk of
-    radius 5 around the seed, DerivativeVanishedError when f' vanishes, and
+    drops below tol, or right after a step of at most 4 ulps of |lambda|,
+    where the residual has reached its float floor; a seed that already
+    satisfies the residual gate returns with zero iterations.  Raises
+    DivergedError when an iterate leaves the disk of radius 5 around the
+    seed, DerivativeVanishedError when f' vanishes, and
     DegenerateZeroError when the converged zero has relative |f'| < 1e-8
     (the zero may not be simple).
     """
@@ -277,7 +285,10 @@ def newton_refine(
             )
         iters += 1
         lam = _require_finite(lam)
+        floor = abs(step) <= _NEWTON_STEP_ULPS * abs(lam)
         residual, step, rel_fprime = _newton_terms(q, lam)
+        if floor:
+            break
     if rel_fprime < DEGENERATE_FPRIME_TOL:
         raise DegenerateZeroError(
             f"zero at {lam!r} has relative |f'| < {DEGENERATE_FPRIME_TOL:g}; "

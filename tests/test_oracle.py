@@ -5,7 +5,6 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +17,6 @@ from quasizero import (
     Disk,
     InvalidQueryError,
     Quasipolynomial,
-    QuasizeroError,
     Rect,
     count_zeros_disk,
     count_zeros_rect,
@@ -30,7 +28,7 @@ from conftest import lambert_w_zeros
 Q11 = Quasipolynomial(1, 1)
 
 #: the boxes of the quadtree alone, without the centroid step, on the
-#: isolation inputs of TestIsolateZeros and TestBatchedKnotsMatchTheScalarWalk
+#: isolation inputs of TestIsolateZeros and on two rects with long cross lines
 QUADTREE_BOXES = [
     (
         Q11, Rect(-2, 2, -2, 2), 1e-3,
@@ -120,11 +118,10 @@ class TestRectCount:
         assert tall.count == 4
 
     def test_boundary_zero_detected(self, omega):
-        # Bottom edge passes exactly through the real zero: the pre-split
-        # knot spacing is 0.25, so with re_lo = omega - 1 one knot lands on
-        # the zero to within a few ulps and the relative magnitude drops
-        # below 1e-12, while the phase jump of pi across the zero never
-        # subdivides away.
+        # Bottom edge passes exactly through the real zero: its midpoint,
+        # the first point the walk evaluates on it, lands on the zero to
+        # within a few ulps and the relative magnitude drops below 1e-12,
+        # while no piece beside the zero is ever certified.
         rect = Rect(omega - 1, omega + 1, 0.0, 2.0)
         with pytest.raises(BoundaryZeroError) as exc:
             count_zeros_rect(Q11, rect, max_depth=10)
@@ -132,11 +129,11 @@ class TestRectCount:
         assert abs(exc.value.point - omega) < 1e-6
 
     def test_near_boundary_zero_exhausts_depth(self, omega):
-        # An edge 1e-9 above the zero, with knot positions shifted so none
-        # lands near the closest approach: the minimum sampled magnitude
-        # stays around 1e-9 relative (above the boundary-zero cutoff) but
-        # the phase jump across the zero stays near pi until the knot
-        # spacing shrinks to the 1e-9 scale, far beyond the depth budget.
+        # An edge 1e-9 above the zero, with bisection points shifted so
+        # none lands near the closest approach: the minimum sampled
+        # magnitude stays around 1e-9 relative (above the boundary-zero
+        # cutoff), but no piece beside the zero is certified until pieces
+        # shrink to the 1e-9 scale, far beyond the depth budget.
         rect = Rect(omega - 1.1, omega + 0.9, 1e-9, 2.0)
         with pytest.raises(DepthExceededError):
             count_zeros_rect(Q11, rect, max_depth=10)
@@ -249,43 +246,46 @@ class TestCentroidBoxes:
             assert sum(box.contains(z) for z in zeros) == 1
 
     def test_the_moment_of_a_one_zero_box_is_its_zero(self, omega):
-        # the walked edges of Rect(-1, 0, -0.5, 0.5), from the walker itself
+        # the walked edges of Rect(-1, 0, -0.5, 0.5), from the walker itself;
+        # at eps = 0.02 their two sums miss the gate but agree within 2 eps,
+        # so isolation refines every piece and gates the refined moment
+        # against the walked one
         box = Rect(-1, 0, -0.5, 0.5)
-        edges = list(oracle._walk_rect(Q11, box, oracle.DEFAULT_MAX_DEPTH, oracle._WalkStats()))
-        fine, coarse = oracle._centroids(Q11, box, edges)
+        stats = oracle._WalkStats()
+        edges = list(oracle._walk_rect(Q11, box, oracle.DEFAULT_MAX_DEPTH, stats))
+        walked = oracle._centroids(Q11, box, edges)
+        assert not oracle._gate(box, *walked, 0.02) and abs(walked[0] - walked[1]) < 0.04
+        evals = stats.evals
+        fine, coarse = oracle._moments(Q11, box, edges, 0.02, stats)
+        assert coarse == walked[0]
+        assert stats.evals == evals + sum(len(e.steps) for e in edges)
         assert abs(fine - omega) < abs(coarse - omega) < 0.05
         assert abs(fine - omega) < 0.01
 
 
 class TestIsolationSharesEdges:
     def test_cost_stays_within_three_and_a_half_root_counts(self, monkeypatch):
-        # Before edge sharing this rectangle took 14,967 evaluations against
-        # 908 for its root count (16.5x), and 4,445 before each one-zero box
-        # was finished at its centroid.  Every point goes through either
-        # _eval_point or the batched kernel, which takes the knots of long
-        # edges; counting both counts each evaluated point once.
+        # The pins are absolute now.  The knot walker took 908 evaluations for
+        # this root count and 2,784 to isolate (3.1x); certifying whole pieces
+        # takes 38 for the root count, where dominance accepts most of each
+        # edge unevaluated, and 791 to isolate, whose cross lines run through
+        # the zeros (21x).  Every evaluation goes through _eval_point,
+        # including the refinement of each centroid's samples.
         evals = [0]
-        scalar, batch = oracle._eval_point, oracle._phase_and_relmag_batch
+        scalar = oracle._eval_point
 
         def counting(q, lam, stats):
             evals[0] += 1
             return scalar(q, lam, stats)
 
-        def counting_batch(q, lam):
-            evals[0] += len(lam)
-            return batch(q, lam)
-
         monkeypatch.setattr(oracle, "_eval_point", counting)
-        monkeypatch.setattr(oracle, "_phase_and_relmag_batch", counting_batch)
         rect = Rect(-5, 8, -50.3, 50.1)
         root = count_zeros_rect(Q11, rect)
         root_evals, evals[0] = evals[0], 0
-        # batching the knots must not change the number of evaluations
-        assert root_evals == 908
+        assert root_evals == 38
         boxes = isolate_zeros(Q11, rect, eps=0.5)
         assert len(boxes) == root.count == 17
-        assert evals[0] == 2784
-        assert evals[0] <= 3.5 * root_evals
+        assert evals[0] == 791
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -377,248 +377,219 @@ class TestIsolationLogsRetries:
         assert capsys.readouterr() == ("", "")
 
 
-def _reference_walk_edge(q, point_of, length, start, end, max_depth, stats):
-    """The scalar walker that the batched knots replaced: every knot goes
-    through oracle._eval_point one at a time, then the same bisection loop."""
-    n = max(1, math.ceil(length / oracle.INITIAL_PIECE_LENGTH))
-    knots, knot_vals = [start[0]], [start[1]]
-    for i in range(1, n):
-        p = point_of(i / n)
-        knots.append(p)
-        knot_vals.append(oracle._eval_point(q, p, stats))
-    knots.append(end[0])
-    knot_vals.append(end[1])
-    steps = []
-    pts = None
-    vals = []
-    for i in range(n):
-        f0, f1 = knot_vals[i], knot_vals[i + 1]
-        d = oracle._accepted_step(f0, f1)
-        if d is not None:
-            steps.append(d)
-            if pts is not None:
-                pts.append(knots[i + 1])
-                vals.append(f1)
-            continue
-        if pts is None:
-            pts, vals = knots[: i + 1], knot_vals[: i + 1]
-        t0 = i / n
-        pending = [((i + 1) / n, knots[i + 1], f1, max_depth)]
+def _reference_count(q, contour):
+    """The number of Lambert-W reference zeros inside contour, and the
+    distance from the nearest of all of them to its boundary."""
+    if isinstance(contour, Disk):
+        c, r = contour.center, contour.radius
+        zeros = lambert_w_zeros(q.k, q.a, abs(c.imag) + r + 1.0)
+        inside = sum(abs(z - c) < r for z in zeros)
+        gap = min((abs(abs(z - c) - r) for z in zeros), default=math.inf)
+        return inside, gap
+    zeros = lambert_w_zeros(q.k, q.a, max(abs(contour.im_lo), abs(contour.im_hi)) + 1.0)
+    inside = sum(contour.contains(z) for z in zeros)
+
+    def gap(z):
+        dx = max(contour.re_lo - z.real, 0.0, z.real - contour.re_hi)
+        dy = max(contour.im_lo - z.imag, 0.0, z.imag - contour.im_hi)
+        if dx or dy:
+            return math.hypot(dx, dy)
+        return min(
+            z.real - contour.re_lo, contour.re_hi - z.real,
+            z.imag - contour.im_lo, contour.im_hi - z.imag,
+        )
+
+    return inside, min(map(gap, zeros), default=math.inf)
+
+
+def _count(q, contour):
+    if isinstance(contour, Disk):
+        return count_zeros_disk(q, contour.center, contour.radius).count
+    return count_zeros_rect(q, contour).count
+
+
+def _assert_reference_count(q, contour):
+    """The walk's count equals the reference count.  Only a reference zero
+    within 1e-6 of the boundary excuses a walk that fails."""
+    want, gap = _reference_count(q, contour)
+    try:
+        got = _count(q, contour)
+    except (BoundaryZeroError, DepthExceededError):
+        assert gap < 1e-6, (q, contour, want)
+        return
+    assert got == want, (q, contour, gap)
+
+
+class TestCountsMatchTheReference:
+    """Counts equal those of conftest.lambert_w_zeros, which shares no code
+    with the walker."""
+
+    @pytest.mark.parametrize(
+        "q, contour, count",
+        [
+            # the ROADMAP item 2 table (the first two are certify known-defect
+            # disks), then the two other certify known-defect disks
+            (Quasipolynomial(120, 1), Disk(0, 4.1), 120),
+            (Quasipolynomial(120, 1), Disk(1, 4.1), 120),
+            (Quasipolynomial(120, 1), Rect(-3, 5, -3.1, 3.3), 120),
+            (Quasipolynomial(40, 1), Disk(0, 1.7), 40),
+            (
+                Quasipolynomial(139, 0.7791805146646235 + 0.4939196527468593j),
+                Disk(0.7592633019597814 + 0.09518271469796336j, 0.8220796232032086),
+                41,
+            ),
+            (
+                Quasipolynomial(55, 0.5891018581993529 - 0.17709462989456168j),
+                Disk(-0.2525479047391457 - 0.3108474741244649j, 0.8109677973190467),
+                16,
+            ),
+        ],
+    )
+    def test_high_k_contours_near_the_origin(self, q, contour, count):
+        assert _reference_count(q, contour)[0] == count
+        assert _count(q, contour) == count
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 200),
+        log_abs_a=st.floats(math.log(1e-3), math.log(1e3)),
+        arg_a=st.floats(-math.pi, math.pi),
+        centre=st.complex_numbers(max_magnitude=2.0),
+        radius=st.floats(0.3, 5.0),
+    )
+    def test_disks_near_the_origin(self, k, log_abs_a, arg_a, centre, radius):
+        q = Quasipolynomial(k, cmath.rect(math.exp(log_abs_a), arg_a))
+        _assert_reference_count(q, Disk(centre, radius))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 16),
+        log10_abs_a=st.floats(-20.0, 20.0),
+        arg_a=st.floats(-math.pi, math.pi),
+        im_lo=st.floats(-300.0, 300.0),
+        height=st.floats(1.0, 100.0),
+        pad=st.floats(0.0, 1.0),
+    )
+    def test_rects_across_the_zero_curve(self, k, log10_abs_a, arg_a, im_lo, height, pad):
+        q = Quasipolynomial(k, cmath.rect(10.0**log10_abs_a, arg_a))
+        far = max(abs(im_lo), abs(im_lo + height), 1.0)
+        re_lo = min(0.0, q.log_abs_a) - 4.0 - pad
+        re_hi = max(q.log_abs_a + k * math.log(far), re_lo) + 3.0 + pad
+        _assert_reference_count(q, Rect(re_lo, re_hi, im_lo, im_lo + height))
+
+
+def _dense_phase_change(k, a, p0, p1):
+    """The change of arg(e^lambda + a lambda^k) along the segment p0 -> p1,
+    by mpmath alone at 30 digits: the segment is cut into 64 parts, and each
+    part is bisected until its principal phase step is below 0.3."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a_mp, z0, dz = mpmath.mpc(a), mpmath.mpc(p0), mpmath.mpc(p1) - mpmath.mpc(p0)
+
+        def arg_f(t):
+            lam = z0 + t * dz
+            return mpmath.arg(mpmath.exp(lam) + a_mp * lam**k)
+
+        def principal(d):
+            return d - 2 * mpmath.pi * mpmath.nint(d / (2 * mpmath.pi))
+
+        total = mpmath.mpf(0)
+        knots = [mpmath.mpf(i) / 64 for i in range(65)]
+        pending = [(t0, arg_f(t0)) for t0 in reversed(knots)]
+        t0, g0 = pending.pop()
         while pending:
-            t1, p1, f1, depth = pending[-1]
-            d = oracle._accepted_step(f0, f1)
-            if d is not None:
-                pending.pop()
-                pts.append(p1)
-                vals.append(f1)
-                steps.append(d)
-                t0, f0 = t1, f1
-            elif depth > 0:
-                tm = 0.5 * (t0 + t1)
-                pm = point_of(tm)
-                pending[-1] = (t1, p1, f1, depth - 1)
-                pending.append((tm, pm, oracle._eval_point(q, pm, stats), depth - 1))
+            t1, g1 = pending[-1]
+            d = principal(g1 - g0)
+            if abs(d) < 0.3:
+                total += d
+                t0, g0 = pending.pop()
             else:
-                raise oracle._Unresolved(
-                    point_of(0.5 * (t0 + t1)),
-                    math.remainder(f1[0] - f0[0], math.tau),
-                    pts + [e[1] for e in reversed(pending)] + knots[i + 2 :],
-                    vals + [e[2] for e in reversed(pending)] + knot_vals[i + 2 :],
-                )
-    stats.segments += len(steps)
-    if pts is None:
-        return oracle._Edge(knots, knot_vals, steps)
-    return oracle._Edge(pts, vals, steps)
+                tm = (t0 + t1) / 2
+                pending.append((tm, arg_f(tm)))
+        return float(total)
 
 
-LIBRARY_WALK = oracle._walk_edge
+class TestEachAcceptedPieceIsSound:
+    """The phase step the walk takes for each accepted piece equals the
+    change of arg f along it, by a dense mpmath walk."""
+
+    @pytest.mark.parametrize(
+        "q, call",
+        [
+            (Q11, lambda q: count_zeros_rect(q, Rect(-5, 8, -50.3, 50.1))),
+            (Quasipolynomial(3, 0.5 + 0.5j), lambda q: count_zeros_rect(q, Rect(-6, 30, -60.3, 80.1))),
+            # the algebraic term dominates left of Re ~ 120, e^lambda right of it
+            (
+                Quasipolynomial(16, cmath.rect(1e20, 0.3)),
+                lambda q: count_zeros_rect(q, Rect(0.0, 800.0, 100.3, 120.7)),
+            ),
+            (Quasipolynomial(120, 1), lambda q: count_zeros_disk(q, 1, 4.1)),
+            (Quasipolynomial(2, 2), lambda q: isolate_zeros(q, Rect(-9, 9, -9, 9), 0.5)),
+        ],
+    )
+    def test_steps_match_a_dense_walk(self, monkeypatch, q, call):
+        edges = []
+        walk = oracle._walk_edge
+
+        def recording(*args):
+            edges.append(walk(*args))
+            return edges[-1]
+
+        monkeypatch.setattr(oracle, "_walk_edge", recording)
+        call(q)
+        pieces = [
+            (p0, p1, d) for e in edges for p0, p1, d in zip(e.pts, e.pts[1:], e.steps)
+        ]
+        assert len(pieces) >= 6
+        for p0, p1, d in pieces:
+            assert abs(_dense_phase_change(q.k, q.a, p0, p1) - d) < 1e-9, (p0, p1, d)
 
 
-def _outcome(out, stats):
-    """out and the stats (evals, segments, smallest relmag and its point);
-    repr tells every float apart bit for bit, signed zeros included."""
-    return repr(out), stats.evals, stats.segments, repr(stats.min_mag), repr(stats.min_mag_point)
+class TestDominanceMargin:
+    """A piece whose disk sits exactly where the two terms of f balance is
+    not accepted by the dominance rule; a little way in, it is."""
 
+    @staticmethod
+    def verdict(q, m, ell):
+        p0, p1 = m - ell, m + ell
+        f0, f1 = oracle._phase_and_relmag(q, p0), oracle._phase_and_relmag(q, p1)
+        return oracle._dominance_step(q, p0, f0, p1, f1, m, ell)
 
-def _walked(monkeypatch, walker, call):
-    """call()'s repr, or the class and message of what it raised, and the
-    outcome of every edge walk on the way (its samples and steps, or what
-    it raised, and its stats after it), with walker as oracle's walker."""
-    walks = []
+    @pytest.mark.parametrize(
+        "k, a, ell, y, guess, side",
+        [
+            # e^lambda: ln|a| + k ln(|m| + ell) = Re m - ell
+            (1, 1.0, 1.0, 0.0, 2.1, "exp"),
+            (200, 1e-20, 0.5, 0.0, 1500.0, "exp"),
+            (16, 1e20, 3.0, 0.0, 150.0, "exp"),
+            (3, 1e-20 + 1e-20j, 2.0, 1e7, 5.0, "exp"),
+            (200, 1.0, 0.25, 1e7, 3200.0, "exp"),
+            # a lambda^k: Re m + ell = ln|a| + k ln(|m| - ell)
+            (200, 1.0, 0.5, 0.0, 1.5, "alg"),
+            (200, 1.0, 0.5, 0.0, 1700.0, "alg"),
+            (3, 1e-20 + 1e-20j, 2.0, 1e7, 0.6, "alg"),
+        ],
+    )
+    def test_equality_is_not_accepted(self, k, a, ell, y, guess, side):
+        mpmath = pytest.importorskip("mpmath")
+        q = Quasipolynomial(k, a)
+        with mpmath.workdps(40):
+            ln_a = mpmath.log(abs(mpmath.mpc(a)))
 
-    def recording(*args):
-        stats = args[-1]
-        try:
-            edge = walker(*args)
-        except oracle._Unresolved as err:
-            partial = err.partial
-            walks.append(
-                _outcome(("unresolved", err.point, err.step, partial.pts, partial.vals), stats)
-            )
-            raise
-        except QuasizeroError as err:
-            walks.append(_outcome((type(err).__name__, str(err)), stats))
-            raise
-        walks.append(_outcome(("edge", edge.pts, edge.vals, edge.steps), stats))
-        return edge
+            def lead(x):
+                """How far the named term leads on D(x + iy, ell)."""
+                r = mpmath.hypot(x, y)
+                if side == "exp":
+                    return x - ell - ln_a - k * mpmath.log(r + ell)
+                return ln_a + k * mpmath.log(r - ell) - x - ell
 
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_walk_edge", recording)
-        try:
-            result = repr(call())
-        except (QuasizeroError, oracle._Unresolved) as err:
-            result = (type(err).__name__, str(err))
-    return result, walks
-
-
-def _edge_walk(q, p0, p1, max_depth=oracle.DEFAULT_MAX_DEPTH):
-    """A call that walks the segment p0 -> p1 alone, with fresh stats."""
-
-    def call():
-        stats = oracle._WalkStats()
-        start, end = ((p, oracle._eval_point(q, p, stats)) for p in (p0, p1))
-        segment = oracle._segment(p0, p1)
-        oracle._walk_edge(q, segment, abs(p1 - p0), start, end, max_depth, stats)
-
-    return call
-
-
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
-def _coefficient(rng):
-    """|A| log-uniform in 1e-20..1e20, any argument."""
-    return cmath.rect(_log_uniform(rng, 1e-20, 1e20), rng.uniform(-math.pi, math.pi))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestBatchedKnotsMatchTheScalarWalk:
-    """Edges with more than _BATCH_KNOTS interior knots evaluate them in one
-    numpy pass; every walk must match the scalar reference walker bit for
-    bit: samples, steps, stats, results, and error class and message."""
-
-    def assert_same(self, monkeypatch, call):
-        ours = _walked(monkeypatch, LIBRARY_WALK, call)
-        assert ours == _walked(monkeypatch, _reference_walk_edge, call)
-        return ours
-
-    @pytest.fixture
-    def batched(self, monkeypatch):
-        """Counts of batched edges and of those handed on to bisection."""
-        counts = {"edges": 0, "bisected": 0}
-        inner = oracle._batch_knots
-
-        def counting(q, point_of, n, start, end, stats):
-            out = inner(q, point_of, n, start, end, stats)
-            counts["edges"] += 1
-            counts["bisected"] += out[-1] < n
-            return out
-
-        monkeypatch.setattr(oracle, "_batch_knots", counting)
-        return counts
-
-    def test_tall_rects(self, monkeypatch, batched):
-        rng = random.Random(20261018)
-        for _ in range(16):
-            k = rng.randint(1, 16)
-            q = Quasipolynomial(k, _coefficient(rng))
-            height = _log_uniform(rng, 5.0, 2000.0)
-            im_lo = rng.uniform(-2000.0, 2000.0 - height)
-            far = max(abs(im_lo), abs(im_lo + height), 1.0)
-            re_lo = min(0.0, q.log_abs_a) - 4.0 - rng.random()
-            re_hi = max(q.log_abs_a + k * math.log(far), re_lo) + 3.0 + rng.random()
-            rect = Rect(re_lo, re_hi, im_lo, im_lo + height)
-            self.assert_same(monkeypatch, lambda: count_zeros_rect(q, rect))
-        assert batched["edges"] > 30 and batched["bisected"] > 0
-
-    def test_disks(self, monkeypatch, batched):
-        rng = random.Random(1018)
-        for i in range(24):
-            q = Quasipolynomial(rng.randint(1, 16), _coefficient(rng))
-            centre = 0j if i % 3 == 0 else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            radius = _log_uniform(rng, 0.5, 40.0)
-            self.assert_same(monkeypatch, lambda: count_zeros_disk(q, centre, radius))
-        assert batched["edges"] > 10
-
-    def test_isolation(self, monkeypatch, batched):
-        # the split lines of these rects are long enough to be batched
-        q = Quasipolynomial(2, 1.5 - 0.5j)
-        self.assert_same(monkeypatch, lambda: isolate_zeros(q, Rect(-5, 9, -40.1, 40.3), 0.5))
-        self.assert_same(monkeypatch, lambda: isolate_zeros(Q11, Rect(-9, 9, -9, 9), 0.5))
-        assert batched["edges"] > 10
-
-    def test_edge_through_the_origin(self, monkeypatch, batched):
-        # the knot at t = 1/2 is exactly lambda = 0, where f = 1
-        for q in (Q11, Quasipolynomial(3, -2.0), Quasipolynomial(16, 1e-20j)):
-            self.assert_same(monkeypatch, _edge_walk(q, -10 + 0j, 10 + 0j))
-            self.assert_same(monkeypatch, lambda: count_zeros_rect(q, Rect(-10, 10, 0.0, 7)))
-        assert batched["edges"] >= 6
-
-    def test_far_right_edges_where_dominance_flips(self, monkeypatch, batched):
-        # the algebraic term dominates left of Re ~ 46 + 16 ln|lambda| ~ 120
-        # and e^lambda to the right of it, out past Re lambda = 700
-        q = Quasipolynomial(16, cmath.rect(1e20, 0.3))
-        self.assert_same(monkeypatch, _edge_walk(q, 0.0 + 100.3j, 800.0 + 100.3j))
-        self.assert_same(monkeypatch, _edge_walk(q, 710.0 - 30.0j, 710.0 + 30.0j))
-        self.assert_same(monkeypatch, lambda: count_zeros_rect(q, Rect(0.0, 800.0, 100.3, 120.7)))
-        # beyond DBL_MAX/4, where cmath.log rescales before taking the log
-        self.assert_same(monkeypatch, lambda: count_zeros_disk(q, 4.6e307 + 0j, 100.0))
-        assert batched["edges"] >= 8
-
-    def test_a_rejected_piece_falls_back_to_bisection(self, monkeypatch, batched):
-        # 48 pieces passing 0.03 from the zero near 2.4016 + 10.7763i; the
-        # piece beside it is bisected, and those before it are not
-        _, walks = self.assert_same(monkeypatch, _edge_walk(Q11, 2.43 + 5j, 2.43 + 17j))
-        assert batched == {"edges": 1, "bisected": 1}
-        assert walks[0][1:3] == (52, 51)
-
-    def test_an_unresolved_piece(self, monkeypatch, omega):
-        # 40 pieces passing 1e-9 above the real zero
-        p0, p1 = complex(omega - 5.1, 1e-9), complex(omega + 4.9, 1e-9)
-        result, _ = self.assert_same(monkeypatch, _edge_walk(Q11, p0, p1, 10))
-        assert result[0] == "_Unresolved"
-        self.assert_same(
-            monkeypatch, lambda: count_zeros_rect(Q11, Rect(p0.real, p1.real, 1e-9, 2.0), 10)
-        )
-        self.assert_same(
-            monkeypatch, lambda: count_zeros_rect(Q11, Rect(omega - 5, omega + 5, 0.0, 2.0), 10)
-        )
-
-    def test_an_exact_tie_in_the_phase_remainder(self, monkeypatch):
-        # At lambda = -5 the raw phase is exactly 3*pi, halfway between two
-        # multiples of tau; math.remainder takes the even one, giving -pi.
-        q = Quasipolynomial(3, 1.0)
-        _, walks = self.assert_same(monkeypatch, _edge_walk(q, -5 + 5j, -5 - 5j))
-        assert "(-3.141592653589793, " in walks[0][0]
-
-    def test_a_knot_where_f_vanishes(self, monkeypatch):
-        # No knot meets |f| = 0 exactly in floating point, so make two: the
-        # scalar kernel raises there and the batched one gives relmag 0.
-        p0, p1 = 2.3 + 40j, 2.3 + 60j
-        zeros = {p0 + (i / 80) * (p1 - p0) for i in (37, 52)}
-        scalar, batch = oracle._phase_and_relmag, oracle._phase_and_relmag_batch
-
-        def vanishing(q, lam):
-            if lam in zeros:
-                raise BoundaryZeroError(
-                    f"f vanished at contour point {lam!r}", point=lam, magnitude=0.0
-                )
-            return scalar(q, lam)
-
-        def vanishing_batch(q, lam):
-            phase, relmag = batch(q, lam)
-            for i, p in enumerate(lam.tolist()):
-                if p in zeros:
-                    phase[i], relmag[i] = math.nan, 0.0
-            return phase, relmag
-
-        monkeypatch.setattr(oracle, "_phase_and_relmag", vanishing)
-        monkeypatch.setattr(oracle, "_phase_and_relmag_batch", vanishing_batch)
-        q = Quasipolynomial(2, 1.3 - 0.4j)
-        result, walks = self.assert_same(monkeypatch, _edge_walk(q, p0, p1))
-        # raised at the first of the two, after the ends and the 36 knots
-        # before it
-        first = p0 + (37 / 80) * (p1 - p0)
-        assert result == ("BoundaryZeroError", f"f vanished at contour point {first!r}")
-        assert walks[0][1:3] == (2 + 36, 0)
+            x = mpmath.findroot(lead, guess)
+            assert abs(mpmath.im(x)) == 0 and abs(x - guess) < 0.5 * abs(guess)
+            # a relative 1e-6 into the region where the term dominates
+            step = 1e-6 * max(1.0, abs(float(x)), y)
+            inward = float(x + step) if lead(x + step) > 0 else float(x - step)
+            assert lead(inward) > 0
+            x = float(x)
+        for m in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            assert self.verdict(q, complex(m, y), ell) is None, m
+        assert self.verdict(q, complex(inward, y), ell) is not None

@@ -26,7 +26,7 @@ from quasizero import (
     small_zeros,
     spacing_report,
 )
-from conftest import lambert_w_zeros
+from conftest import lambert_w_chain_zero, lambert_w_zeros
 
 Q11 = Quasipolynomial(1, 1)
 TWO_PI = 2 * math.pi
@@ -149,6 +149,17 @@ class TestNewtonRefine:
         # a = -e puts a double zero at lambda = 1 (f(1) = f'(1) = 0).
         with pytest.raises(DegenerateZeroError):
             newton_refine(Quasipolynomial(1, -math.e), 1.0)
+
+    @pytest.mark.parametrize("nu", [5000, 100_000, -100_000])
+    def test_far_chain_zero_stops_at_the_float_floor(self, nu):
+        # Rounding lambda alone leaves a relative |f| near |lambda| * 2**-53,
+        # above the 1e-12 gate here (1.7e-12 at nu = 5000, 4.3e-11 at
+        # 100,000), so the iteration stops on a step of at most 4 ulps.
+        rec = newton_refine(Q11, asymptotic_guess(Q11, nu))
+        ref = lambert_w_chain_zero(1, 1, nu)
+        assert rec.residual >= 1e-12
+        assert abs(rec.refined - ref) <= 4 * 2.0**-52 * abs(ref)
+        assert rec.newton_iters <= 5
 
     def test_huge_seed_uses_stabilized_step(self):
         # sigma_1 at the seed is around 400, far beyond naive evaluation.
