@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EvalOverflowError, ZeroArgumentError
+from .errors import EvalOverflowError, InvalidQueryError, ZeroArgumentError
 
 #: exp() arguments beyond +-700 are treated as saturated; ln(DBL_MAX) ~ 709.78,
 #: so this keeps ~10 e-folds of headroom for the bounded remainder factor.
@@ -43,14 +43,14 @@ class Quasipolynomial:
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+            raise InvalidQueryError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InvalidQueryError(f"k must be >= 1, got {self.k}")
         a = complex(self.a)
         if a == 0:
-            raise ValueError("a must be nonzero")
+            raise InvalidQueryError("a must be nonzero")
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError(f"a must be finite, got {a!r}")
+            raise InvalidQueryError(f"a must be finite, got {a!r}")
         if a.imag == 0.0:
             # Canonicalize a signed zero so arg(a) is +pi, not -pi, for
             # negative real coefficients (conjugating a real coefficient
@@ -88,6 +88,23 @@ def _require_finite(lam: complex) -> complex:
     return lam
 
 
+def _dominant(log_coeff: complex, power: int, lam: complex) -> tuple[complex, complex, bool]:
+    """(dom, w, exp_dominates) for e^lambda + coeff*lambda^power at lambda != 0.
+
+    dom is the complex log of the larger term (e^lambda on a tie) and
+    w = exp(sub - dom) the smaller term over it, so the sum is
+    exp(dom) * (1 + w) with |w| <= 1 and neither factor overflows at any
+    finite lambda.  log_coeff is Log coeff; for power == 0 the second term
+    is the constant coeff.  For integer powers exp(p*Log(lam)) equals lam**p
+    exactly (the branch ambiguity is a multiple of 2*pi*i*p), so working in
+    the log domain introduces no branch error.
+    """
+    t_alg = log_coeff + power * cmath.log(lam) if power else log_coeff
+    if lam.real >= t_alg.real:
+        return lam, cmath.exp(t_alg - lam), True
+    return t_alg, cmath.exp(lam - t_alg), False
+
+
 def _two_term_eval(coeff: complex, log_coeff: complex, power: int, lam: complex) -> complex:
     """e^lambda + coeff*lambda^power with the dominant term factored out.
 
@@ -100,33 +117,20 @@ def _two_term_eval(coeff: complex, log_coeff: complex, power: int, lam: complex)
     if lam == 0:
         return 1.0 + coeff if power == 0 else 1.0 + 0j
 
-    # Complex logs of the two terms.  For integer powers exp(p*Log(lam))
-    # equals lam**p exactly (the branch ambiguity is a multiple of 2*pi*i*p),
-    # so working in the log domain introduces no branch error.
-    t_exp = lam
-    if power == 0:
-        t_alg = log_coeff
-    else:
-        t_alg = log_coeff + power * cmath.log(lam)
-
     # Fast path: both terms individually representable with room to spare.
-    if (
-        t_exp.real <= EXP_SATURATION
-        and t_alg.real <= EXP_SATURATION
-        and abs(lam) < 1e300
-    ):
+    if lam.real <= EXP_SATURATION and abs(lam) < 1e300:
         if power == 0:
-            return cmath.exp(lam) + coeff
-        if power * math.log(abs(lam)) <= EXP_SATURATION:
+            if log_coeff.real <= EXP_SATURATION:
+                return cmath.exp(lam) + coeff
+        elif (
+            (log_coeff + power * cmath.log(lam)).real <= EXP_SATURATION
+            and power * math.log(abs(lam)) <= EXP_SATURATION
+        ):
             return cmath.exp(lam) + coeff * lam**power
 
-    # Stabilized path: f = exp(dom) * (1 + exp(sub - dom)) with |sub - dom|
-    # having nonpositive real part, so the remainder is bounded by 2.
-    if t_exp.real >= t_alg.real:
-        dom, sub = t_exp, t_alg
-    else:
-        dom, sub = t_alg, t_exp
-    remainder = 1.0 + cmath.exp(sub - dom)
+    # Stabilized path: f = exp(dom) * (1 + w), with the remainder bounded by 2.
+    dom, w, _ = _dominant(log_coeff, power, lam)
+    remainder = 1.0 + w
     if remainder == 0:
         return 0j
     log_magnitude = dom.real + math.log(abs(remainder))
@@ -223,10 +227,11 @@ def relative_magnitude(q: Quasipolynomial, lam: complex) -> float:
 
     This is the residual measure used for certification: it is 0 exactly at a
     zero, ~1 far from the zero curve, and computable at any finite lambda.
-    Since the denominator is whichever term dominates, it equals
-    min(ratio_alg, ratio_exp).
+    It is |1 + w| with w the smaller term over the larger (_dominant), the
+    same value the contour walk and newton_refine compute, and it equals
+    min(ratio_alg, ratio_exp) up to rounding, without their saturation.
     """
     lam = _require_finite(lam)
     if lam == 0:
         return 1.0  # f(0) = 1 and the dominant term is e^0 = 1
-    return float(min(ratio_alg(q, lam), ratio_exp(q, lam)))
+    return abs(1.0 + _dominant(q.log_a, q.k, lam)[1])

@@ -33,9 +33,7 @@ moment (1/2 pi i) * contour integral of lambda f'/f over it is its zero
 edges already hold give that integral with no new evaluation.  When the sum
 over every sample and the sum over every other sample agree within eps/2,
 one square of diameter <= eps around the moment is walked; if it counts 1,
-it is the box returned.  When they miss that but agree within 2 eps, f is
-evaluated once at the midpoint of every piece and the refined sum is gated
-against the walked one.  Any other outcome falls back to the split.
+it is the box returned.  Any other outcome falls back to the split.
 
 This counter is the independent certificate for the refinement pipeline: it
 never looks inside the refiners, only at values of f along curves.
@@ -48,9 +46,9 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .core import Quasipolynomial
+from .core import Quasipolynomial, _dominant
 from .errors import (
     BoundaryZeroError,
     DepthExceededError,
@@ -187,31 +185,24 @@ class ContourCount:
 
 
 class _WalkStats:
-    __slots__ = ("segments", "min_mag", "min_mag_point", "evals")
+    __slots__ = ("segments", "min_mag", "min_mag_point")
 
     def __init__(self) -> None:
         self.segments = 0
         self.min_mag = math.inf
         self.min_mag_point = 0j
-        self.evals = 0
 
 
 def _phase_and_relmag(q: Quasipolynomial, lam: complex) -> tuple[float, float]:
     """(arg f(lambda) wrapped to [-pi, pi], |f| / dominant-term magnitude).
 
-    Writes f = exp(dom) * (1 + exp(sub - dom)) with dom, sub the complex logs
-    of the two terms ordered by real part, so both factors are representable
-    on any contour.
+    Writes f = exp(dom) * (1 + w) (core._dominant), so both factors are
+    representable on any contour.
     """
     if lam == 0:
         return 0.0, 1.0  # f(0) = 1
-    t_exp = lam
-    t_alg = q.log_a + q.k * cmath.log(lam)
-    if t_exp.real >= t_alg.real:
-        dom, sub = t_exp, t_alg
-    else:
-        dom, sub = t_alg, t_exp
-    remainder = 1.0 + cmath.exp(sub - dom)
+    dom, w, _ = _dominant(q.log_a, q.k, lam)
+    remainder = 1.0 + w
     relmag = abs(remainder)
     if relmag == 0.0:
         raise BoundaryZeroError(
@@ -225,7 +216,6 @@ def _eval_point(
     q: Quasipolynomial, lam: complex, stats: _WalkStats
 ) -> tuple[float, float]:
     ph, mag = _phase_and_relmag(q, lam)
-    stats.evals += 1
     if mag < stats.min_mag:
         stats.min_mag = mag
         stats.min_mag_point = lam
@@ -474,19 +464,51 @@ def _winding_to_count(total_phase: float) -> int:
     return int(nearest)
 
 
-def _walk_rect(
-    q: Quasipolynomial, rect: Rect, max_depth: int, stats: _WalkStats
-) -> Iterator[_Edge]:
-    """The four edges of rect, walked one at a time counterclockwise from its
-    bottom-left corner (bottom, right, top, left)."""
-    ends = [(c, _eval_point(q, c, stats)) for c in rect.corners()]
-    for (p0, f0), (p1, f1) in zip(ends, ends[1:] + ends[:1]):
+def _walk_contour(
+    q: Quasipolynomial, contour: Rect | Disk, max_depth: int, stats: _WalkStats
+) -> list[_Edge]:
+    """The four edges of contour, walked counterclockwise: a rect's sides from
+    its bottom-left corner (bottom, right, top, left), or a disk's quarter
+    arcs from angle 0.
+
+    f is evaluated at the four ends first, then each edge is walked
+    (_walk_edge); a piece left unresolved raises its error, classified by the
+    smallest relative |f| seen so far (_Unresolved.classify).
+    """
+    if max_depth < MIN_MAX_DEPTH:
+        raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
+    if isinstance(contour, Rect):
+        starts = list(contour.corners())
+        paths = [
+            (_segment(p0, p1), abs(p1 - p0)) for p0, p1 in zip(starts, starts[1:] + starts[:1])
+        ]
+    else:
+        center, radius = contour.center, contour.radius
+        anchors = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau]
+
+        def point_of(t: float) -> complex:
+            return center + radius * cmath.exp(1j * t)
+
+        def arc(t_lo: float, t_hi: float) -> Callable[[float], complex]:
+            return lambda t: point_of(t_lo + t * (t_hi - t_lo))
+
+        starts = [point_of(t) for t in anchors[:4]]
+        paths = [(arc(lo, hi), 0.5 * math.pi * radius) for lo, hi in zip(anchors, anchors[1:])]
+    ends = [(p, _eval_point(q, p, stats)) for p in starts]
+    edges = []
+    for (path, length), start, end in zip(paths, ends, ends[1:] + ends[:1]):
         try:
-            yield _walk_edge(
-                q, _segment(p0, p1), abs(p1 - p0), (p0, f0), (p1, f1), max_depth, stats
-            )
+            edges.append(_walk_edge(q, path, length, start, end, max_depth, stats))
         except _Unresolved as err:
             raise err.classify(stats.min_mag, stats.min_mag_point) from None
+    return edges
+
+
+def _count(q: Quasipolynomial, contour: Rect | Disk, max_depth: int) -> ContourCount:
+    """The certified count of contour, with the diagnostics of its walk."""
+    stats = _WalkStats()
+    count = _winding_to_count(_phase_sum(_walk_contour(q, contour, max_depth, stats)))
+    return ContourCount(count, contour, stats.segments, stats.min_mag)
 
 
 def count_zeros_rect(
@@ -502,11 +524,7 @@ def count_zeros_rect(
     |f|, and WindingError if the accumulated phase fails the integer
     consistency check.
     """
-    if max_depth < MIN_MAX_DEPTH:
-        raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
-    stats = _WalkStats()
-    count = _winding_to_count(_phase_sum(_walk_rect(q, rect, max_depth, stats)))
-    return ContourCount(count, rect, stats.segments, stats.min_mag)
+    return _count(q, rect, max_depth)
 
 
 def count_zeros_disk(
@@ -516,32 +534,7 @@ def count_zeros_disk(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ContourCount:
     """Number of zeros of f inside the disk |lambda - center| <= radius."""
-    if max_depth < MIN_MAX_DEPTH:
-        raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
-    disk = Disk(complex(center), float(radius))
-    stats = _WalkStats()
-
-    def point_of(t: float) -> complex:
-        return disk.center + disk.radius * cmath.exp(1j * t)
-
-    anchors = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.tau]
-    ends = [(p, _eval_point(q, p, stats)) for p in map(point_of, anchors[:4])]
-    ends.append(ends[0])
-    quarter_arc = 0.5 * math.pi * disk.radius
-    total = 0.0
-    for i in range(4):
-        t_lo, t_hi = anchors[i], anchors[i + 1]
-
-        def arc_point(t: float, t_lo: float = t_lo, t_hi: float = t_hi) -> complex:
-            return point_of(t_lo + t * (t_hi - t_lo))
-
-        try:
-            arc = _walk_edge(q, arc_point, quarter_arc, ends[i], ends[i + 1], max_depth, stats)
-        except _Unresolved as err:
-            raise err.classify(stats.min_mag, stats.min_mag_point) from None
-        total += sum(arc.steps)
-    count = _winding_to_count(total)
-    return ContourCount(count, disk, stats.segments, stats.min_mag)
+    return _count(q, Disk(complex(center), float(radius)), max_depth)
 
 
 def _split(
@@ -648,28 +641,6 @@ def _centroids(q: Quasipolynomial, box: Rect, edges: list[_Edge]) -> tuple[compl
     return c + fine / (2j * math.pi), c + coarse / (2j * math.pi)
 
 
-def _refined(q: Quasipolynomial, edge: _Edge, stats: _WalkStats) -> _Edge:
-    """edge with f evaluated at the midpoint of each piece, which splits the
-    piece's step in two.
-
-    The first half takes _dominance_step on its own disk, and otherwise the
-    principal difference, which is exact on a piece the derivative bound
-    accepted; the second half takes the rest of the step.
-    """
-    pts, vals, steps = [edge.pts[0]], [edge.vals[0]], []
-    for p0, f0, p1, f1, d in zip(edge.pts, edge.vals, edge.pts[1:], edge.vals[1:], edge.steps):
-        mid = 0.5 * (p0 + p1)
-        fm = _eval_point(q, mid, stats)
-        ell = 0.5 * abs(mid - p0) + _ULPS * (abs(mid) + abs(p1 - p0))
-        half = _dominance_step(q, p0, f0, mid, fm, 0.5 * (p0 + mid), ell)
-        if half is None:
-            half = math.remainder(fm[0] - f0[0], math.tau)
-        pts += (mid, p1)
-        vals += (fm, f1)
-        steps += (half, d - half)
-    return _Edge(pts, vals, steps)
-
-
 def _gate(box: Rect, z: complex, other: complex, eps: float) -> bool:
     """Whether the moment z lies strictly inside box and within eps/2 of the
     estimate other."""
@@ -680,41 +651,22 @@ def _gate(box: Rect, z: complex, other: complex, eps: float) -> bool:
     )
 
 
-def _moments(
-    q: Quasipolynomial, box: Rect, edges: list[_Edge], eps: float, stats: _WalkStats
-) -> tuple[complex, complex]:
-    """The first moment of box that isolation gates, and the estimate it is
-    gated against.
-
-    These are _centroids of the walked edges, unless they miss the gate
-    while agreeing within 2 eps: then every piece is refined once
-    (_refined), about quartering the midpoint rule's error, and the moment
-    over the refined samples is gated against the one over the walked
-    samples, which is its sum over every other sample.
-    """
-    z, other = _centroids(q, box, edges)
-    if not _gate(box, z, other, eps) and abs(z - other) < 2 * eps:
-        z, other = _centroids(q, box, [_refined(q, e, stats) for e in edges])
-    return z, other
-
-
 def _centroid_box(
     q: Quasipolynomial,
     box: Rect,
     edges: list[_Edge],
     eps: float,
     max_depth: int,
-    stats: _WalkStats,
 ) -> Rect | None:
     """A box of diameter <= eps inside box, holding its one zero, or None.
 
     box counts 1 on its walked edges.  The square of half-side
-    _CENTROID_HALF_SIDE * eps around their first moment (_moments), clipped
-    to box, is walked only when the moment passes _gate; it is returned
-    when it counts exactly 1.  It lies in box, so it holds box's zero and
-    the rest of box holds none.  Every miss is logged at DEBUG.
+    _CENTROID_HALF_SIDE * eps around their first moment (_centroids),
+    clipped to box, is walked only when the moment passes _gate; it is
+    returned when it counts exactly 1.  It lies in box, so it holds box's
+    zero and the rest of box holds none.  Every miss is logged at DEBUG.
     """
-    z, other = _moments(q, box, edges, eps, stats)
+    z, other = _centroids(q, box, edges)
     if not _gate(box, z, other, eps):
         _log.debug("centroid box in %r missed: gate (moment %r, coarse %r)", box, z, other)
         return None
@@ -759,10 +711,8 @@ def isolate_zeros(
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidQueryError(f"eps must be finite and > 0, got {eps!r}")
-    if max_depth < MIN_MAX_DEPTH:
-        raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
     stats = _WalkStats()
-    root_edges = list(_walk_rect(q, rect, max_depth, stats))
+    root_edges = _walk_contour(q, rect, max_depth, stats)
     out: list[Rect] = []
     stack: list[tuple[Rect, int, int, list[_Edge]]] = [
         (rect, _winding_to_count(_phase_sum(root_edges)), 0, root_edges)
@@ -774,7 +724,7 @@ def isolate_zeros(
         if count == 1:
             found = (
                 box if box.diameter <= eps
-                else _centroid_box(q, box, edges, eps, max_depth, stats)
+                else _centroid_box(q, box, edges, eps, max_depth)
             )
             if found is not None:
                 out.append(found)

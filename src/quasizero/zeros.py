@@ -32,7 +32,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .core import Quasipolynomial, _require_finite, relative_magnitude
+from .core import Quasipolynomial, _dominant, _require_finite, relative_magnitude
 from .errors import (
     CertificationError,
     DegenerateZeroError,
@@ -221,21 +221,21 @@ def fixedpoint_refine(
 def _newton_terms(q: Quasipolynomial, lam: complex) -> tuple[float, complex, float]:
     """(relative |f|, Newton step f/f', relative |f'|) at a finite lambda.
 
-    Both f and f' are divided by the larger of e^lambda and a*lambda^k, so one
-    log and one exp of the smaller term over the larger give all three without
-    overflow.  Relative |f'| is |f'| over the larger of its own two terms.
+    Both f and f' are divided by the larger of e^lambda and a*lambda^k, so
+    the one exp of the smaller term over the larger (core._dominant) gives
+    all three without overflow.  Relative |f'| is |f'| over the larger of
+    its own two terms.
     """
     if lam == 0:
         # f(0) = 1, and f'(0) keeps the constant term a only when k = 1
         num, term1, term2 = 1.0 + 0j, 1.0, q.a if q.k == 1 else 0.0
     else:
-        t_alg = q.log_a + q.k * cmath.log(lam)
-        if lam.real >= t_alg.real:
-            u = cmath.exp(t_alg - lam)  # a*lambda^k / e^lambda
-            num, term1, term2 = 1.0 + u, 1.0, q.k * u / lam
-        else:
-            u = cmath.exp(lam - t_alg)  # e^lambda / (a*lambda^k)
-            num, term1, term2 = u + 1.0, u, q.k / lam
+        _, w, exp_dominates = _dominant(q.log_a, q.k, lam)
+        num = 1.0 + w
+        if exp_dominates:  # w = a*lambda^k / e^lambda
+            term1, term2 = 1.0, q.k * w / lam
+        else:  # w = e^lambda / (a*lambda^k)
+            term1, term2 = w, q.k / lam
     den = term1 + term2
     if den == 0:
         raise DerivativeVanishedError(f"f' vanished near {lam!r}")

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,8 @@ from quasizero import (
 from quasizero.cli import main
 
 Q11 = Quasipolynomial(1, 1)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -350,3 +357,60 @@ class TestParsing:
         doc = json.loads(out)
         # auto = ln(2|a|) + 0.5 for the far-field inequality.
         assert doc["config"]["h"] == pytest.approx(math.log(4) + 0.5)
+
+    #: each subcommand with arguments that are valid apart from --k and --a
+    COMMANDS = [
+        ["zeros", "--nu", "5..7"],
+        ["count", "--rect", "0,4,8,14"],
+        ["bounds", "--ineq", "eq3", "--h", "auto", "--samples", "100"],
+        ["geometry", "--sector", "--h", "2", "--delta", "0.3"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("k, a", [("0", "1"), ("1", "0"), ("1", "nan")])
+    def test_invalid_coefficients_are_usage_errors(self, capsys, command, k, a):
+        code, out, err = run_cli(capsys, [command[0], "--k", k, "--a", a, *command[1:]])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("k, a", [("0", "1"), ("1", "0"), ("1", "nan")])
+    def test_invalid_coefficients_print_no_traceback(self, k, a):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasizero", "count", "--k", k, "--a", a,
+             "--rect", "0,4,8,14"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def _readme_examples():
+    """(name, argv, output) for each README command block that is followed
+    directly by a plain block holding its output."""
+    blocks = re.findall(r"```(\w*)\n(.*?)```", README.read_text(), re.S)
+    examples = []
+    for (lang, body), (next_lang, output) in zip(blocks, blocks[1:]):
+        if lang == "sh" and body.startswith("quasizero ") and next_lang == "":
+            argv = shlex.split(body)[1:]
+            shapes = [w[2:] for w in argv if w in ("--curve", "--quadrangle", "--sector")]
+            examples.append((shapes[0] if shapes else argv[0], argv, output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_every_documented_output_is_checked(self):
+        names = [name for name, _, _ in README_EXAMPLES]
+        assert names == ["zeros", "count", "curve", "quadrangle", "sector"]
+
+    @pytest.mark.parametrize(
+        "argv, output", [e[1:] for e in README_EXAMPLES], ids=[e[0] for e in README_EXAMPLES]
+    )
+    def test_output_matches_readme_byte_for_byte(self, capsys, argv, output):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == output

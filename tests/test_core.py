@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +13,21 @@ from hypothesis import strategies as st
 
 from quasizero import (
     EXP_SATURATION,
+    BoundaryZeroError,
+    DerivativeVanishedError,
     EvalOverflowError,
     Quasipolynomial,
     RatioValue,
     ZeroArgumentError,
+    enumerate_zeros,
     eval_f,
     eval_fprime,
+    oracle,
     ratio_alg,
     ratio_exp,
     relative_magnitude,
     sigma,
+    zeros,
 )
 
 GRID = [
@@ -248,6 +254,11 @@ class TestRatios:
                 assert abs(abs_f - exp_term * ratio_exp(q, lam)) <= 1e-12 * scale
 
     def test_relative_magnitude_is_smaller_ratio(self):
+        # |1 + w| and the smaller ratio are the same quantity rounded along
+        # different paths; their gap is bounded by the rounding of the
+        # exponent lambda - k Log lambda - Log a that both carry.  Its k-fold
+        # log has modulus k |Log lambda|, not k |ln|lambda||: the argument of
+        # lambda counts too, which matters for large k near |lambda| = 1
         rng = random.Random(99)
         q = Quasipolynomial(2, 0.5 + 0.5j)
         for _ in range(300):
@@ -255,10 +266,145 @@ class TestRatios:
             if abs(lam) < 1e-6:
                 continue
             expected = min(ratio_alg(q, lam), ratio_exp(q, lam))
-            assert relative_magnitude(q, lam) == expected
+            scale = abs(lam) + q.k * abs(cmath.log(lam)) + abs(q.log_abs_a)
+            assert abs(relative_magnitude(q, lam) - expected) <= 2.0**-52 * scale
 
     def test_relative_magnitude_at_origin_and_saturation(self):
         q = Quasipolynomial(1, 1)
         assert relative_magnitude(q, 0) == 1.0
         assert relative_magnitude(q, 800) == 1.0
         assert EXP_SATURATION == 700.0
+
+
+def _reference_two_term_eval(coeff, log_coeff, power, lam):
+    """core._two_term_eval before its stabilized path used core._dominant."""
+    if lam == 0:
+        return 1.0 + coeff if power == 0 else 1.0 + 0j
+    t_exp = lam
+    if power == 0:
+        t_alg = log_coeff
+    else:
+        t_alg = log_coeff + power * cmath.log(lam)
+    if t_exp.real <= EXP_SATURATION and t_alg.real <= EXP_SATURATION and abs(lam) < 1e300:
+        if power == 0:
+            return cmath.exp(lam) + coeff
+        if power * math.log(abs(lam)) <= EXP_SATURATION:
+            return cmath.exp(lam) + coeff * lam**power
+    if t_exp.real >= t_alg.real:
+        dom, sub = t_exp, t_alg
+    else:
+        dom, sub = t_alg, t_exp
+    remainder = 1.0 + cmath.exp(sub - dom)
+    if remainder == 0:
+        return 0j
+    log_magnitude = dom.real + math.log(abs(remainder))
+    if log_magnitude > math.log(sys.float_info.max):
+        raise EvalOverflowError(lam, log_magnitude)
+    return cmath.exp(dom + cmath.log(remainder))
+
+
+def _reference_phase_and_relmag(q, lam):
+    """oracle._phase_and_relmag with its own copy of the dominant/sub split."""
+    if lam == 0:
+        return 0.0, 1.0
+    t_exp = lam
+    t_alg = q.log_a + q.k * cmath.log(lam)
+    if t_exp.real >= t_alg.real:
+        dom, sub = t_exp, t_alg
+    else:
+        dom, sub = t_alg, t_exp
+    remainder = 1.0 + cmath.exp(sub - dom)
+    relmag = abs(remainder)
+    if relmag == 0.0:
+        raise BoundaryZeroError("f vanished", point=lam, magnitude=0.0)
+    return math.remainder(dom.imag + cmath.phase(remainder), math.tau), relmag
+
+
+def _reference_newton_terms(q, lam):
+    """zeros._newton_terms with its own copy of the dominant/sub split."""
+    if lam == 0:
+        num, term1, term2 = 1.0 + 0j, 1.0, q.a if q.k == 1 else 0.0
+    else:
+        t_alg = q.log_a + q.k * cmath.log(lam)
+        if lam.real >= t_alg.real:
+            u = cmath.exp(t_alg - lam)
+            num, term1, term2 = 1.0 + u, 1.0, q.k * u / lam
+        else:
+            u = cmath.exp(lam - t_alg)
+            num, term1, term2 = u + 1.0, u, q.k / lam
+    den = term1 + term2
+    if den == 0:
+        raise DerivativeVanishedError("f' vanished")
+    return abs(num), num / den, abs(den) / max(abs(term1), abs(term2))
+
+
+def _outcome(fn, *args):
+    """repr of the value, which tells -0.0 from 0.0, or the error raised."""
+    try:
+        return repr(fn(*args))
+    except (EvalOverflowError, BoundaryZeroError, DerivativeVanishedError) as err:
+        return type(err).__name__ + repr(getattr(err, "log_magnitude", None))
+
+
+def _kernel_points(rng, n):
+    """n seeded (q, lambda) pairs, a quarter from each family: near 0, near
+    the zero curve, within 1e-8 relative of a chain zero, and Re lambda past
+    700; k runs from 1 to 200, |a| from 1e-20 to 1e20 and |lambda| to 1e5."""
+    for i in range(n):
+        q = Quasipolynomial(
+            round(math.exp(rng.uniform(0.0, math.log(200.0)))),
+            cmath.rect(10.0 ** rng.uniform(-20.0, 20.0), rng.uniform(-math.pi, math.pi)),
+        )
+        family = i % 4
+        if family == 0:
+            lam = cmath.rect(10.0 ** rng.uniform(-300.0, 0.0), rng.uniform(-math.pi, math.pi))
+        elif family == 1:
+            y = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 5.0)
+            x = q.log_abs_a + q.k * math.log(abs(y))
+            for _ in range(5):  # onto sigma_1 = ln|a|, where the terms balance
+                x = q.log_abs_a + q.k * math.log(abs(complex(x, y)))
+            lam = complex(x + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, 0.0), y)
+        elif family == 2:
+            nu = rng.choice((-1, 1)) * rng.randint(max(5, q.k), 10_000)
+            zero = enumerate_zeros(q, nu, nu)[0].refined
+            lam = zero * (1.0 + cmath.rect(10.0 ** rng.uniform(-16.0, -8.0), rng.uniform(0, 6.3)))
+        else:
+            # log-spaced past 700, so that many land where f is representable
+            lam = complex(
+                700.0 + 10.0 ** rng.uniform(-3.0, 5.0),
+                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 5.0),
+            )
+        yield q, lam
+
+
+class TestDominantKernel:
+    """Every relative |f| and every stabilized value comes from core._dominant,
+    bit for bit what each caller's own copy of the split gave."""
+
+    def test_callers_match_their_former_split_bit_for_bit(self):
+        rng = random.Random(9)
+        checked = 0
+        for q, lam in _kernel_points(rng, 40_000):
+            coeff = q.a * q.k
+            assert _outcome(eval_f, q, lam) == _outcome(
+                _reference_two_term_eval, q.a, q.log_a, q.k, lam
+            ), (q, lam)
+            assert _outcome(eval_fprime, q, lam) == _outcome(
+                _reference_two_term_eval, coeff, cmath.log(coeff), q.k - 1, lam
+            ), (q, lam)
+            assert _outcome(oracle._phase_and_relmag, q, lam) == _outcome(
+                _reference_phase_and_relmag, q, lam
+            ), (q, lam)
+            assert _outcome(zeros._newton_terms, q, lam) == _outcome(
+                _reference_newton_terms, q, lam
+            ), (q, lam)
+            checked += 1
+        assert checked == 40_000
+
+    def test_relative_magnitude_is_the_contour_and_newton_residual(self):
+        rng = random.Random(10)
+        for q, lam in _kernel_points(rng, 4_000):
+            rm = relative_magnitude(q, lam)
+            assert rm == zeros._newton_terms(q, lam)[0], (q, lam)
+            if rm:
+                assert rm == oracle._phase_and_relmag(q, lam)[1], (q, lam)
