@@ -4,15 +4,18 @@ Three Monte Carlo checks, all driven by a counter-based (Philox) generator so
 that identical seeds reproduce reports bit for bit:
 
 * eq3: on the tail T1 (sigma_1 < -h, h above ln(2/|a|)) the algebraic term
-  dominates and |f| >= 0.5 * |a||lambda|^k.  Sampled as min ratio_alg >= 0.5.
+  dominates and |f| >= 0.5 * |a||lambda|^k.  Sampled as the smallest
+  algebraic ratio |f|/(|a||lambda|^k) >= 0.5.
 * eq4: on the far field sigma_1 > h with h above ln(2|a|) the exponential
-  term dominates and |f| >= 0.5 * |e^lambda|.  Sampled as min ratio_exp >= 0.5.
+  term dominates and |f| >= 0.5 * |e^lambda|.  Sampled as the smallest
+  exponential ratio |f|/|e^lambda| >= 0.5.
 * eq7: on the band punctured by delta-disks around the zeros, |f| stays above
-  a positive multiple of |a||lambda|^k; the smallest sampled ratio_alg is the
-  estimate of that constant, reported (not asserted against any external
-  value) together with a doubled-sample stability check.
+  a positive multiple of |a||lambda|^k; the smallest sampled algebraic ratio
+  is the estimate of that constant, reported (not asserted against any
+  external value) together with a doubled-sample stability check.
 
-All three ratios are |1 + e^u| from one batched kernel, _ratio_batch.  Where
+All three ratios are |1 + e^u| from one batched kernel, _ratio_batch, and
+each report's min_ratio is that kernel's value at its worst sample.  Where
 one term dominates by far (Re u < -42, most samples of eq3 and eq4) the ratio
 is exactly 1.0 in binary64; those saturated samples get 1.0 without the
 complex log and exp, so every ratio equals the full evaluation bit for bit.
@@ -31,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Quasipolynomial, ratio_alg, ratio_exp
+from .core import Quasipolynomial
 from .errors import (
     BoundaryZeroError,
     DeltaTooLargeError,
@@ -72,9 +75,10 @@ SMALL_DISK_MARGIN = 0.5
 class BoundReport:
     """Outcome of one sampled inequality check.
 
-    analytic_floor is only set for eq3 (the sharper provable bound
+    min_ratio is the batched ratio at worst_point, the sample where it is
+    smallest.  analytic_floor is only set for eq3 (the sharper provable bound
     1 - e^(-h)/|a|); stability_ratio only for eq7 (doubled-sample estimate
-    divided by the reported one).
+    divided by min_ratio).
     """
 
     inequality_id: str
@@ -95,6 +99,13 @@ class QuadrangleGeom:
     nu: int
     corners: tuple[complex, complex, complex, complex]
     diag: float
+
+
+def _check_finite(**values: float) -> None:
+    """Reject an infinite or nan input by name before anything is drawn."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
@@ -161,9 +172,9 @@ def _saturated(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
 def _ratio_batch(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
     """Vectorized |1 + e^u| with the exponent clipped, at every point.
 
-    u is lambda - k Log lambda - Log a for the algebraic ratio (alg, the
-    batched ratio_alg) and k Log lambda + Log a - lambda for the exponential
-    one (ratio_exp).  Points where Re u is provably below _SATURATED_U get
+    u is lambda - k Log lambda - Log a for the algebraic ratio (alg,
+    |f|/|a lambda^k|) and k Log lambda + Log a - lambda for the exponential
+    one (|f|/|e^lambda|).  Points where Re u is provably below _SATURATED_U get
     exactly 1.0 and are not evaluated.  Clipping only fires where the true
     ratio is astronomically large or saturated at 1, never near a minimum, so
     min/argmin selection is exact.
@@ -185,25 +196,20 @@ def _ratio_batch(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
 
 def _finish_report(
     inequality_id: str,
-    q: Quasipolynomial,
     lam: np.ndarray,
     ratios: np.ndarray,
     threshold: float,
     seed: int,
-    scalar_ratio: Callable[[Quasipolynomial, complex], float],
     **extra: float | None,
 ) -> BoundReport:
     i = int(np.argmin(ratios))
-    worst = complex(lam[i])
-    # report the scalar-path value at the worst point so the number matches
-    # what ratio_alg / ratio_exp return for it
-    min_ratio = float(scalar_ratio(q, worst))
+    min_ratio = float(ratios[i])
     return BoundReport(
         inequality_id=inequality_id,
         samples=int(lam.size),
         min_ratio=min_ratio,
         threshold=threshold,
-        worst_point=worst,
+        worst_point=complex(lam[i]),
         passed=min_ratio >= threshold if threshold > 0 else min_ratio > 0,
         seed=seed,
         **extra,
@@ -225,6 +231,7 @@ def verify_eq3(
     """
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
+    _check_finite(h=h, R=r, window=window)
     threshold_h = min_h_t1(q)
     if not h > threshold_h:
         raise InvalidQueryError(
@@ -244,9 +251,7 @@ def verify_eq3(
     lam = _rejection_sample(rng, (-window, window, -window, window), accept, n, "T1")
     ratios = _ratio_batch(q, lam, alg=True)
     floor = 1.0 - math.exp(-h) / abs(q.a)
-    return _finish_report(
-        "eq3", q, lam, ratios, HALF_THRESHOLD, seed, ratio_alg, analytic_floor=floor
-    )
+    return _finish_report("eq3", lam, ratios, HALF_THRESHOLD, seed, analytic_floor=floor)
 
 
 def verify_eq4(
@@ -267,6 +272,7 @@ def verify_eq4(
     """
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
+    _check_finite(h=h, R=r, window=window)
     threshold_h = min_h_t2(q)
     if not h > threshold_h:
         raise InvalidQueryError(
@@ -292,7 +298,7 @@ def verify_eq4(
     lam = _rejection_sample(rng, (-window, window, -window, window), accept, n, region)
     ratios = _ratio_batch(q, lam, alg=False)
     ident = "eq4-printed" if printed_set else "eq4"
-    return _finish_report(ident, q, lam, ratios, HALF_THRESHOLD, seed, ratio_exp)
+    return _finish_report(ident, lam, ratios, HALF_THRESHOLD, seed)
 
 
 def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
@@ -372,14 +378,15 @@ def estimate_c_delta(
     n: int,
     seed: int,
 ) -> BoundReport:
-    """Smallest sampled ratio_alg on the band punctured at the zeros.
+    """Smallest sampled algebraic ratio on the band punctured at the zeros.
 
     Samples the band |sigma_1| <= h, |lambda| > R, |Im| <= 2*pi*nu_hi,
-    rejecting points within delta of any refined zero; the minimum ratio is
-    the estimate of the positive constant bounding |f|/(|a||lambda|^k) there.
-    The estimate is re-run with doubled samples on an independent stream and
-    the quotient reported as stability_ratio.  delta must stay below half the
-    minimum nearest-zero gap (DeltaTooLargeError otherwise).
+    rejecting points within delta of any refined zero; the minimum ratio,
+    reported as min_ratio, is the estimate of the positive constant bounding
+    |f|/(|a||lambda|^k) there.  The estimate is re-run with doubled samples
+    on an independent stream and its quotient by min_ratio reported as
+    stability_ratio.  delta must stay below half the minimum nearest-zero
+    gap (DeltaTooLargeError otherwise).
     """
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
@@ -387,6 +394,7 @@ def estimate_c_delta(
         raise InvalidQueryError(f"delta must be finite and > 0, got {delta!r}")
     if not (r > 0 and math.isfinite(r)):
         raise InvalidQueryError(f"R must be finite and > 0, got {r!r}")
+    _check_finite(h=h)
     if not h > abs(q.log_abs_a):
         raise InvalidQueryError(
             f"band must contain the zero curve: need h > |ln|a|| = "
@@ -424,13 +432,12 @@ def estimate_c_delta(
         return lam, _ratio_batch(q, lam, alg=True)
 
     lam, ratios = run(0, n)
-    lam2, ratios2 = run(1, 2 * n)
-    second = float(ratios2.min())
-    report = _finish_report(
-        "eq7", q, lam, ratios, 0.0, seed, ratio_alg,
-        stability_ratio=(second / float(ratios.min())) if ratios.min() > 0 else None,
+    _, ratios2 = run(1, 2 * n)
+    first = float(ratios.min())
+    return _finish_report(
+        "eq7", lam, ratios, 0.0, seed,
+        stability_ratio=float(ratios2.min()) / first if first > 0 else None,
     )
-    return report
 
 
 #: vertical distance from a chain zero down to its cut line

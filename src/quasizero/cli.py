@@ -35,7 +35,7 @@ from .errors import (
     QuasizeroError,
     ZeroArgumentError,
 )
-from .oracle import Rect, count_zeros_disk, count_zeros_rect
+from .oracle import DEFAULT_MAX_DEPTH, Rect, count_zeros_disk, count_zeros_rect
 from .regions import gamma_polyline, min_h_t1, min_h_t2, sector_radius
 from .zeros import enumerate_zeros, nu_min, spacing_report
 
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     where.add_argument(
         "--disk", type=parse_disk, metavar="RE,IM,R", help="disk center and radius"
     )
-    p_count.add_argument("--max-depth", type=int, default=24)
+    p_count.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p_count.add_argument("--format", choices=("text", "json"), default="text")
     p_count.add_argument("--timings", action="store_true")
     p_count.set_defaults(func=cmd_count)

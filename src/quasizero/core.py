@@ -171,65 +171,15 @@ def sigma(q: Quasipolynomial, s: int, lam: complex) -> float:
     return lam.real + (-1) ** s * q.k * math.log(abs(lam))
 
 
-class RatioValue(float):
-    """A float carrying a ``saturated`` flag.
-
-    Saturated means the exponent-domain argument left the +-700 range, so the
-    returned value is the analytic limit rather than a computed one.  The flag
-    rides along without disturbing arithmetic: RatioValue is a float.
-    """
-
-    saturated: bool
-
-    def __new__(cls, value: float, saturated: bool = False) -> "RatioValue":
-        obj = super().__new__(cls, value)
-        obj.saturated = saturated
-        return obj
-
-
-def ratio_alg(q: Quasipolynomial, lam: complex) -> RatioValue:
-    """|f(lambda)| / (|a| * |lambda|^k) = |1 + e^(lambda - k*Log lambda)/a|.
-
-    Computed entirely in the exponent domain; the exponent's real part is
-    sigma_1 - ln|a|, so the value is finite whenever that coordinate stays
-    within +-700.  Outside that range the computation saturates: the returned
-    value is the limit 1.0 (exact on the sigma_1 -> -inf side, where the
-    exponential term vanishes) and the ``saturated`` flag is set.
-    """
-    lam = _require_finite(lam)
-    if lam == 0:
-        raise ZeroArgumentError("ratio_alg is undefined at lambda = 0")
-    u = lam - q.k * cmath.log(lam)  # Re(u) = sigma_1
-    if abs(u.real) > EXP_SATURATION or abs(u.real - q.log_abs_a) > EXP_SATURATION:
-        return RatioValue(1.0, saturated=True)
-    return RatioValue(abs(1.0 + cmath.exp(u) / q.a))
-
-
-def ratio_exp(q: Quasipolynomial, lam: complex) -> RatioValue:
-    """|f(lambda)| / |e^lambda| = |1 + a*e^(k*Log lambda - lambda)|.
-
-    The exponent's real part is ln|a| - sigma_1; beyond +-700 the value
-    saturates to the limit 1.0 (exact on the sigma_1 -> +inf side, where the
-    algebraic term vanishes) with the ``saturated`` flag set.  At lambda = 0
-    the algebraic term is identically zero for k >= 1, so the ratio is 1.
-    """
-    lam = _require_finite(lam)
-    if lam == 0:
-        return RatioValue(1.0)
-    u = q.k * cmath.log(lam) - lam  # Re(u) = -sigma_1
-    if abs(u.real) > EXP_SATURATION or abs(u.real + q.log_abs_a) > EXP_SATURATION:
-        return RatioValue(1.0, saturated=True)
-    return RatioValue(abs(1.0 + q.a * cmath.exp(u)))
-
-
 def relative_magnitude(q: Quasipolynomial, lam: complex) -> float:
     """|f(lambda)| / max(|e^lambda|, |a*lambda^k|), overflow-safe.
 
     This is the residual measure used for certification: it is 0 exactly at a
     zero, ~1 far from the zero curve, and computable at any finite lambda.
     It is |1 + w| with w the smaller term over the larger (_dominant), the
-    same value the contour walk and newton_refine compute, and it equals
-    min(ratio_alg, ratio_exp) up to rounding, without their saturation.
+    same value the contour walk and newton_refine compute: the smaller of
+    |f|/|a lambda^k| and |f|/|e^lambda|, with no saturation at any finite
+    lambda.
     """
     lam = _require_finite(lam)
     if lam == 0:

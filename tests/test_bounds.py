@@ -354,6 +354,55 @@ class TestReportsMatchTheReference:
         assert messages[0] == messages[1]
 
 
+def _mpmath_ratio(q, lam, alg):
+    """|1 + e^(lambda - k Log lambda)/a| (alg) or |1 + a e^(k Log lambda - lambda)|
+    at 40 digits, with no overflow or saturation at any |a|."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, a = mpmath.mpc(lam), mpmath.mpc(q.a)
+        if alg:
+            return float(abs(1 + mpmath.exp(lam - q.k * mpmath.log(lam)) / a))
+        return float(abs(1 + a * mpmath.exp(q.k * mpmath.log(lam) - lam)))
+
+
+class TestReportsAtExtremeCoefficients:
+    """With |ln|a|| near 700 the worst sample sits where e^lambda or
+    |a lambda^k| is outside binary64; min_ratio is still the true ratio."""
+
+    def test_eq3_tiny_coefficient(self):
+        q = Quasipolynomial(1, 1e-305)
+        report = verify_eq3(q, h=math.log(2 / q.abs_a) + 0.5, r=1.0, n=20_000, seed=3)
+        assert report.min_ratio == pytest.approx(
+            _mpmath_ratio(q, report.worst_point, alg=True), rel=1e-9)
+        assert report.passed
+
+    def test_eq4_huge_coefficient(self):
+        q = Quasipolynomial(2, 1e305)
+        report = verify_eq4(q, h=math.log(2 * q.abs_a) + 0.5, r=1.0, n=20_000, seed=5)
+        assert report.min_ratio == pytest.approx(
+            _mpmath_ratio(q, report.worst_point, alg=False), rel=1e-9)
+        assert report.passed
+
+    def test_eq4_printed_set_fails(self):
+        # sigma_2 > h contains zeros of f, so the sampled ratio drops below 1/2
+        q = Quasipolynomial(1, 1e305)
+        report = verify_eq4(q, h=math.log(2 * q.abs_a) + 0.5, r=1.0, n=20_000, seed=5,
+                            printed_set=True)
+        assert report.min_ratio == pytest.approx(
+            _mpmath_ratio(q, report.worst_point, alg=False), rel=1e-9)
+        assert report.min_ratio < 0.5
+        assert report.passed is False
+
+    def test_eq7_huge_coefficient(self):
+        q = Quasipolynomial(1, 1e305)
+        report = estimate_c_delta(q, h=math.log(1e305) + 1.0, r=1.0, delta=0.3, nu_hi=8,
+                                  n=20_000, seed=2)
+        assert report.min_ratio == pytest.approx(
+            _mpmath_ratio(q, report.worst_point, alg=True), rel=1e-9)
+        # the doubled-sample minimum over min_ratio, pinned bit for bit
+        assert report.stability_ratio == 0.25976330293636785
+
+
 def _corner_oracle(q, nu, h):
     """Corners recomputed from scratch: the two cut-line zeros from Lambert W,
     then bisect x - k*ln|x+iy| = level on each cut line."""

@@ -242,6 +242,51 @@ class TestBoundsCommand:
         assert doc["timings"]["elapsed_seconds"] > 0
 
 
+    def test_printed_set_with_huge_coefficient_fails(self, capsys):
+        # the worst sample's exponential ratio is 0.0988; both terms of f
+        # overflow binary64 there, since ln|a| = 702
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "bounds", "--ineq", "eq4", "--printed-set", "--k", "1", "--a", "1e305",
+                "--samples", "20000", "--seed", "5",
+            ],
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["results"]["passed"] is False
+        assert doc["results"]["min_ratio"] == pytest.approx(0.09877403633572555, rel=1e-9)
+
+    #: bound inputs that are not finite, each rejected before any draw
+    NONFINITE = [
+        ["--ineq", "eq3", "--window", "inf"],
+        ["--ineq", "eq7", "--delta", "0.3", "--h", "inf"],
+        ["--ineq", "eq3", "--R", "nan"],
+        ["--ineq", "eq4", "--R", "nan"],
+        ["--ineq", "eq3", "--window", "nan"],
+        ["--ineq", "eq4", "--window", "nan"],
+        ["--ineq", "eq3", "--h", "inf"],
+    ]
+
+    @pytest.mark.parametrize("flags", NONFINITE, ids=" ".join)
+    def test_nonfinite_inputs_are_usage_errors(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["bounds", "--k", "1", "--a", "1", *flags])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("flags", NONFINITE, ids=" ".join)
+    def test_nonfinite_inputs_print_no_traceback(self, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasizero", "bounds", "--k", "1", "--a", "1", *flags],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 class TestGeometryCommand:
     def test_gamma_rows_satisfy_curve_equation(self, capsys):
         code, out, _ = run_cli(
@@ -405,7 +450,7 @@ README_EXAMPLES = _readme_examples()
 class TestReadmeExamples:
     def test_every_documented_output_is_checked(self):
         names = [name for name, _, _ in README_EXAMPLES]
-        assert names == ["zeros", "count", "curve", "quadrangle", "sector"]
+        assert names == ["zeros", "count", "bounds", "curve", "quadrangle", "sector"]
 
     @pytest.mark.parametrize(
         "argv, output", [e[1:] for e in README_EXAMPLES], ids=[e[0] for e in README_EXAMPLES]

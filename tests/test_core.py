@@ -1,4 +1,4 @@
-"""Evaluation-layer tests: eval_f, eval_fprime, sigma, and the ratio family."""
+"""Evaluation-layer tests: eval_f, eval_fprime, sigma and relative_magnitude."""
 
 from __future__ import annotations
 
@@ -12,23 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasizero import (
-    EXP_SATURATION,
     BoundaryZeroError,
     DerivativeVanishedError,
     EvalOverflowError,
     Quasipolynomial,
-    RatioValue,
     ZeroArgumentError,
     enumerate_zeros,
     eval_f,
     eval_fprime,
     oracle,
-    ratio_alg,
-    ratio_exp,
     relative_magnitude,
     sigma,
     zeros,
 )
+from quasizero.core import EXP_SATURATION
 
 GRID = [
     Quasipolynomial(1, 1),
@@ -122,8 +119,9 @@ class TestEvalF:
         # algebraic term and |f|/e^x is the relative residual; compare in
         # the log domain because e^x itself is not representable.
         assert math.exp(math.log(abs(f)) - x) < 1e-10
-        # sigma_1 is beyond +-700 here, so the ratio forms saturate.
-        assert ratio_alg(q, x).saturated
+        # sigma_1 is beyond +-700 here; the relative magnitude is still
+        # computed, not saturated at 1.
+        assert relative_magnitude(q, x) < 1e-10
         # Away from the zero the true magnitude does exceed binary64.
         with pytest.raises(EvalOverflowError):
             eval_f(q, 716.5)
@@ -187,71 +185,24 @@ class TestSigma:
         assert total == pytest.approx(2 * x, abs=1e-9 * max(1.0, abs(lam)))
 
 
+def _reference_ratio_alg(q, lam):
+    """|f|/|a lambda^k| = |1 + e^(lambda - k Log lambda)/a|, the formula of
+    the former core.ratio_alg without its saturation."""
+    return abs(1.0 + cmath.exp(lam - q.k * cmath.log(lam)) / q.a)
+
+
+def _reference_ratio_exp(q, lam):
+    """|f|/|e^lambda| = |1 + a e^(k Log lambda - lambda)|, the formula of the
+    former core.ratio_exp without its saturation."""
+    return abs(1.0 + q.a * cmath.exp(q.k * cmath.log(lam) - lam))
+
+
 class TestRatios:
-    def test_ratio_alg_matches_naive_far_left(self):
-        # At lambda = -10 both terms are tiny, so the naive quotient is an
-        # independent check: |1 + e^lambda/(a*lambda^k)|.
-        q = Quasipolynomial(1, 1)
-        naive = abs(1 + cmath.exp(-10) / (1 * (-10)))
-        assert ratio_alg(q, -10) == pytest.approx(naive, rel=1e-13)
-        assert not ratio_alg(q, -10).saturated
-
-    def test_ratio_exp_matches_naive_far_right(self):
-        q = Quasipolynomial(1, 1)
-        naive = abs(cmath.exp(20) + 20) / abs(cmath.exp(20))
-        assert ratio_exp(q, 20) == pytest.approx(naive, rel=1e-12)
-
     def test_both_ratios_vanish_at_zero(self, omega):
         q = Quasipolynomial(1, 1)
-        assert ratio_alg(q, omega) < 1e-12
-        assert ratio_exp(q, omega) < 1e-12
+        assert _reference_ratio_alg(q, omega) < 1e-12
+        assert _reference_ratio_exp(q, omega) < 1e-12
         assert relative_magnitude(q, omega) < 1e-12
-
-    def test_saturation_flags(self):
-        q = Quasipolynomial(1, 1)
-        for lam in (800, -800):
-            for fn in (ratio_alg, ratio_exp):
-                r = fn(q, lam)
-                assert float(r) == 1.0
-                assert r.saturated
-        assert not ratio_alg(q, 1 + 1j).saturated
-        assert not ratio_exp(q, 1 + 1j).saturated
-
-    def test_ratio_alg_origin_rejected(self):
-        with pytest.raises(ZeroArgumentError):
-            ratio_alg(Quasipolynomial(1, 1), 0)
-
-    def test_ratio_exp_defined_at_origin(self):
-        # The algebraic term vanishes at 0 for k >= 1, so the quotient is 1.
-        assert ratio_exp(Quasipolynomial(3, 2j), 0) == 1.0
-
-    def test_ratio_value_is_a_float(self):
-        r = RatioValue(0.5, saturated=True)
-        assert isinstance(r, float)
-        assert r.saturated
-        assert r * 2 == 1.0
-        assert not RatioValue(0.25).saturated
-
-    def test_ratios_consistent_with_eval(self):
-        # |f| reconstructed from either ratio must agree with eval_f to a
-        # tolerance relative to the dominant-term scale.
-        rng = random.Random(1234)
-        for q in GRID:
-            checked = 0
-            while checked < 1500:
-                lam = complex(rng.uniform(-30, 30), rng.uniform(-50, 50))
-                if abs(lam) < 1e-6:
-                    continue
-                s1 = sigma(q, 1, lam)
-                if abs(s1) > 20:
-                    continue
-                checked += 1
-                abs_f = abs(eval_f(q, lam))
-                alg_term = q.abs_a * abs(lam) ** q.k
-                exp_term = math.exp(lam.real)
-                scale = alg_term + exp_term
-                assert abs(abs_f - alg_term * ratio_alg(q, lam)) <= 1e-12 * scale
-                assert abs(abs_f - exp_term * ratio_exp(q, lam)) <= 1e-12 * scale
 
     def test_relative_magnitude_is_smaller_ratio(self):
         # |1 + w| and the smaller ratio are the same quantity rounded along
@@ -265,7 +216,7 @@ class TestRatios:
             lam = complex(rng.uniform(-40, 40), rng.uniform(-40, 40))
             if abs(lam) < 1e-6:
                 continue
-            expected = min(ratio_alg(q, lam), ratio_exp(q, lam))
+            expected = min(_reference_ratio_alg(q, lam), _reference_ratio_exp(q, lam))
             scale = abs(lam) + q.k * abs(cmath.log(lam)) + abs(q.log_abs_a)
             assert abs(relative_magnitude(q, lam) - expected) <= 2.0**-52 * scale
 
