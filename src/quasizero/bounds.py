@@ -108,6 +108,13 @@ def _check_finite(**values: float) -> None:
             raise InvalidQueryError(f"{name} must be finite, got {value!r}")
 
 
+def _check_positive(**values: float) -> None:
+    """Reject a value that is not finite and > 0 by name before anything is drawn."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise InvalidQueryError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct streams never share draws."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
@@ -231,13 +238,14 @@ def verify_eq3(
     """
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
-    _check_finite(h=h, R=r, window=window)
+    _check_positive(R=r)
+    _check_finite(h=h, window=window)
     threshold_h = min_h_t1(q)
     if not h > threshold_h:
         raise InvalidQueryError(
             f"eq3 needs h > ln(2/|a|) = {threshold_h:.6g}, got h = {h!r}"
         )
-    if not (r > 0 and window > r):
+    if not window > r:
         raise EmptyRegionError(
             f"window {window!r} leaves no room outside the inner disk R = {r!r}"
         )
@@ -272,13 +280,14 @@ def verify_eq4(
     """
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
-    _check_finite(h=h, R=r, window=window)
+    _check_positive(R=r)
+    _check_finite(h=h, window=window)
     threshold_h = min_h_t2(q)
     if not h > threshold_h:
         raise InvalidQueryError(
             f"eq4 needs h > ln(2|a|) = {threshold_h:.6g}, got h = {h!r}"
         )
-    if not (r > 0 and window > r):
+    if not window > r:
         raise EmptyRegionError(
             f"window {window!r} leaves no room outside the inner disk R = {r!r}"
         )
@@ -390,10 +399,7 @@ def estimate_c_delta(
     """
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
-    if not (delta > 0 and math.isfinite(delta)):
-        raise InvalidQueryError(f"delta must be finite and > 0, got {delta!r}")
-    if not (r > 0 and math.isfinite(r)):
-        raise InvalidQueryError(f"R must be finite and > 0, got {r!r}")
+    _check_positive(delta=delta, R=r)
     _check_finite(h=h)
     if not h > abs(q.log_abs_a):
         raise InvalidQueryError(

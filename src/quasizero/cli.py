@@ -39,7 +39,7 @@ from .oracle import DEFAULT_MAX_DEPTH, Rect, count_zeros_disk, count_zeros_rect
 from .regions import gamma_polyline, min_h_t1, min_h_t2, sector_radius
 from .zeros import enumerate_zeros, nu_min, spacing_report
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _USAGE_ERRORS = (
     InvalidQueryError,
@@ -293,7 +293,7 @@ def cmd_zeros(args) -> int:
                     "zero": _c(rec.refined),
                     "residual": rec.residual,
                     "newton_iters": rec.newton_iters,
-                    "fixedpoint_iters": rec.fixedpoint_iters,
+                    "radius": rec.radius,
                 }
                 for rec in records
             ],

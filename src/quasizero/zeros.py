@@ -14,10 +14,10 @@ whenever a is real) and works verbatim for complex coefficients.
 
 With lambda = 2*pi*i*nu + xi and c = ln|a| + i*(arg a + pi), branch nu >= 1
 is g(xi) = xi - c - k*Log(2*pi*i*nu + xi) = 0.  Each chain seed is polished
-on that equation two independent ways, by the contracting fixed-point map
-xi <- c + k*Log(2*pi*i*nu + xi) and by Newton on g, and the two must agree.
-Neither evaluates f, so neither can overflow, and the branch fixes which zero
-is found.
+by Newton on g, which never evaluates f, so it cannot overflow, and the
+branch fixes which zero is found.  A Rouche test against the linear Taylor
+model of g at the converged zero then proves a disk around it that holds
+exactly one zero of branch nu; its radius is recorded.
 
 newton_refine is Newton on f itself, for seeds with no chain index (the
 small_zeros box centres and user seeds).  A free zero may lie on the branch
@@ -64,10 +64,6 @@ _NEWTON_STEP_ULPS = 4 * 2.0**-52
 #: newton_refine iterates must stay within this distance of their seed
 NEWTON_TRUST_RADIUS = 5.0
 
-#: fixed-point refinement stops when the step length drops below this
-FIXEDPOINT_TOL = 1e-13
-FIXEDPOINT_MAX_ITER = 100
-
 #: a converged zero with relative |f'| below this is flagged as degenerate
 DEGENERATE_FPRIME_TOL = 1e-8
 
@@ -78,17 +74,39 @@ DUPLICATE_TOL = 1e-6
 #: max(1, |xi|)
 _BRANCH_STEP_TOL = 1e-10
 
+#: bound on the rounding of the computed G(lambda) = lambda - k*Log(lambda) - C
+#: of the Rouche test, per unit of |lambda| + k*|Log lambda| + 2*pi*|nu|.  With
+#: u = 2**-53, G is computed as ((lambda - A) - c) - k*Log(lambda), where
+#: A = i*fl(2*pi*|nu|) and c = fl(ln|a|) + i*fl(arg a + pi), so C = A + c.
+#: A is off by at most 1.4u * 2*pi*|nu| (math.tau is 0.35u below 2*pi, plus
+#: the product's rounding); c by at most u*|c| + 14u (hypot, log, phase, pi
+#: and the sum); lambda - A, near c + k*Log(lambda), rounds by at most
+#: u*(|c| + k*|Log lambda|); cmath.log is off by at most 2u*(|Log lambda| + 1),
+#: so k times it, with the product's rounding, by 3u*k*|Log lambda| + 2u*k;
+#: the last two subtractions round by at most u*(k*|Log lambda| + 2*|G|).
+#: Near the zero |ln|a|| = |Re lambda - k*ln|lambda||, so |c| <= |lambda| +
+#: k*|Log lambda| + 2*pi, and |lambda| >= 2*pi*|nu| >= 2*pi*max(5, k) covers
+#: 2u*k and the constant terms.  The total is below 7u per unit; 8u is taken.
+_ROUCHE_ERR = 2.0**-50
+
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One refined zero with its seed and its per-refiner certificates."""
+    """One refined zero with its seed, its Newton steps and its proof radius.
+
+    radius is proven for chain records: the disk of that radius around
+    refined holds exactly one zero of branch nu, so it bounds the distance
+    to the true zero.  It is None on newton_refine records.
+    fixedpoint_iters is always 0; bench/spans.py still sums it.
+    """
 
     nu: int | None
     guess: complex
     refined: complex
     residual: float
     newton_iters: int
-    fixedpoint_iters: int
+    radius: float | None
+    fixedpoint_iters: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,37 +162,20 @@ def _positive_guess(q: Quasipolynomial, nu: int) -> complex:
 
 
 def _refine_branch(
-    q: Quasipolynomial,
-    mirror: Quasipolynomial,
-    nu: int,
-    fp_max_iter: int,
-    fp_tol: float,
-) -> tuple[complex, complex, int, complex, int]:
-    """(seed, fixed-point zero, its steps, Newton zero, its steps) for branch nu != 0.
+    q: Quasipolynomial, mirror: Quasipolynomial, nu: int
+) -> tuple[complex, complex, int, float]:
+    """(seed, zero, Newton steps, proven radius) for branch nu != 0.
 
-    Both refiners solve g(xi) = 0 (module docstring) from the asymptotic seed.
+    Newton solves g(xi) = 0 (module docstring) from the asymptotic seed.
     mirror is q.conjugate(); branch nu < 0 is the conjugated branch -nu of it,
-    and a NotConvergedError names nu and the last iterate on branch nu itself.
+    and an error names nu and, if it carries one, the last iterate on branch
+    nu itself.  A converged zero with no Rouche disk raises CertificationError.
     """
     conj = nu < 0
     p = mirror if conj else q
     seed = _positive_guess(p, abs(nu))
     anchor = 2j * math.pi * abs(nu)
     const = p.log_abs_a + 1j * (p.arg_a + math.pi)
-
-    xi = seed - anchor
-    for fp_iters in range(1, fp_max_iter + 1):
-        nxt = const + p.k * cmath.log(anchor + xi)
-        if abs(nxt - xi) < fp_tol:
-            break
-        xi = nxt
-    else:
-        raise NotConvergedError(
-            f"fixed-point refinement for nu = {nu} did not converge in {fp_max_iter} steps",
-            last=(anchor + xi).conjugate() if conj else anchor + xi,
-            iterations=fp_max_iter,
-        )
-    fp_lam = anchor + nxt
 
     # Newton on g needs no trust disk and no degeneracy test: g' = 1 - k/lambda,
     # and |lambda| > 2*pi*|nu| >= 2*pi*k near the zero, so g' stays away from 0.
@@ -184,38 +185,42 @@ def _refine_branch(
         step = (xi - const - p.k * cmath.log(lam)) / (1.0 - p.k / lam)
         xi -= step
         if abs(step) < _BRANCH_STEP_TOL * max(1.0, abs(xi)):
-            lam = anchor + xi
-            if conj:
-                return seed.conjugate(), fp_lam.conjugate(), fp_iters, lam.conjugate(), nw_iters
-            return seed, fp_lam, fp_iters, lam, nw_iters
-    raise NotConvergedError(
-        f"Newton on the branch equation for nu = {nu} did not converge in "
-        f"{NEWTON_MAX_ITER} steps",
-        last=(anchor + xi).conjugate() if conj else anchor + xi,
-        iterations=NEWTON_MAX_ITER,
-    )
-
-
-def fixedpoint_refine(
-    q: Quasipolynomial,
-    nu: int,
-    max_iter: int = FIXEDPOINT_MAX_ITER,
-    tol: float = FIXEDPOINT_TOL,
-) -> complex:
-    """Refine branch nu by iterating xi <- c + k*Log(2*pi*nu*i + xi).
-
-    Here c = ln|a| + i*(arg a + pi) and the iteration starts from the
-    asymptotic seed; the map contracts like k/(2*pi*|nu|).  Negative nu uses
-    the conjugate-mirror chain.  Raises NotConvergedError with the last
-    iterate attached if the step never drops below tol.
-    """
-    if not isinstance(nu, int) or isinstance(nu, bool):
-        raise InvalidIndexError(f"nu must be an integer, got {nu!r}")
-    if abs(nu) < nu_min(q):
-        raise InvalidIndexError(
-            f"|nu| must be >= nu_min = {nu_min(q)}, got {nu}"
+            break
+    else:
+        raise NotConvergedError(
+            f"Newton on the branch equation for nu = {nu} did not converge in "
+            f"{NEWTON_MAX_ITER} steps",
+            last=(anchor + xi).conjugate() if conj else anchor + xi,
+            iterations=NEWTON_MAX_ITER,
         )
-    return _refine_branch(q, q.conjugate(), nu, max_iter, tol)[1]
+    lam = anchor + xi
+
+    # Rouche on D(lam, r) for G(z) = z - k*Log(z) - C, C = anchor + const, and
+    # its linear model L(z) = G(lam) + G'(lam)*(z - lam).  r < Im lam keeps the
+    # disk in the upper half-plane, where Log is analytic, and gives
+    # r < |lam|; there |G''| = k/|z|^2 <= k/(|lam| - r)^2, so on the circle
+    # |G - L| <= r^2*k/(2*(|lam| - r)^2) while |L| >= |G'|*r - |G| - err.
+    # When the first is smaller, G has L's one zero in the disk.  After the
+    # Newton stop |G| is at most about 1e-10*|xi|, which puts the quadratic
+    # side below 1e-9 of the linear one, |G| + err: the few u by which G', r
+    # and the test itself round cannot turn a miss into a pass.
+    log_lam = cmath.log(lam)
+    g = abs((lam - anchor) - const - p.k * log_lam)  # |G(lam)|
+    dg = abs(1.0 - p.k / lam)  # |G'(lam)|
+    mod = abs(lam)
+    err = _ROUCHE_ERR * (mod + p.k * abs(log_lam) + anchor.imag)
+    radius = 2.0 * (g + err) / dg
+    if not (
+        radius < lam.imag
+        and dg * radius - g - err > radius * radius * p.k / (2.0 * (mod - radius) ** 2)
+    ):
+        raise CertificationError(
+            f"no Rouche disk proves the zero of nu = {nu}: |G| = {g:.3e}, "
+            f"|G'| = {dg:.3e}, r = {radius:.3e}"
+        )
+    if conj:
+        return seed.conjugate(), lam.conjugate(), nw_iters, radius
+    return seed, lam, nw_iters, radius
 
 
 def _newton_terms(q: Quasipolynomial, lam: complex) -> tuple[float, complex, float]:
@@ -300,27 +305,22 @@ def newton_refine(
         refined=lam,
         residual=residual,
         newton_iters=iters,
-        fixedpoint_iters=0,
+        radius=None,
     )
 
 
-#: the two refiners must land this close together, else the Newton run is
-#: suspected of capturing a neighbouring zero
-_REFINER_AGREEMENT_TOL = 1e-6
-
-
 def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroRecord]:
-    """One converged, cross-checked ZeroRecord per admissible nu in [nu_lo, nu_hi].
+    """One converged, proven ZeroRecord per admissible nu in [nu_lo, nu_hi].
 
     Indices with |nu| < nu_min(q) (including nu = 0) are skipped.  Each kept
-    index is seeded with the asymptotic guess and refined on its branch
-    equation g(xi) = xi - c - k*Log(2*pi*i*nu + xi) = 0 (see the module
-    docstring) independently by the fixed-point map and by Newton on g; the
-    two must agree within 1e-6 (CertificationError otherwise), and the Newton
-    zero is recorded with residual = relative_magnitude(q, zero).  Either
-    refiner past its step budget raises NotConvergedError.  Records are
-    sorted by Im and guarded against collapse (DuplicateZeroError if two land
-    within 1e-6).
+    index is seeded with the asymptotic guess and refined by Newton on its
+    branch equation g(xi) = xi - c - k*Log(2*pi*i*nu + xi) = 0 (see the
+    module docstring); NotConvergedError past the step budget.  The zero is
+    recorded with residual = relative_magnitude(q, zero) and the radius of a
+    Rouche disk around it that holds exactly one zero of branch nu
+    (CertificationError when no such disk is proven).  Records are sorted by
+    Im and guarded against collapse (DuplicateZeroError if two land within
+    1e-6).
     """
     if not (isinstance(nu_lo, int) and isinstance(nu_hi, int)):
         raise InvalidQueryError(f"nu range must be integers, got {nu_lo!r}..{nu_hi!r}")
@@ -338,14 +338,7 @@ def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroReco
     for nu in range(nu_lo, nu_hi + 1):
         if abs(nu) < floor:
             continue
-        guess, fp_lam, fp_iters, lam, nw_iters = _refine_branch(
-            q, mirror, nu, FIXEDPOINT_MAX_ITER, FIXEDPOINT_TOL
-        )
-        if abs(lam - fp_lam) > _REFINER_AGREEMENT_TOL:
-            raise CertificationError(
-                f"refiners disagree at nu = {nu}: Newton {lam!r} vs "
-                f"fixed point {fp_lam!r}"
-            )
+        guess, lam, nw_iters, radius = _refine_branch(q, mirror, nu)
         records.append(
             ZeroRecord(
                 nu=nu,
@@ -353,7 +346,7 @@ def enumerate_zeros(q: Quasipolynomial, nu_lo: int, nu_hi: int) -> list[ZeroReco
                 refined=lam,
                 residual=relative_magnitude(q, lam),
                 newton_iters=nw_iters,
-                fixedpoint_iters=fp_iters,
+                radius=radius,
             )
         )
     records.sort(key=lambda r: r.refined.imag)

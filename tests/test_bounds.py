@@ -73,6 +73,12 @@ class TestVerifyEq3:
         with pytest.raises(InvalidQueryError):
             verify_eq3(Q11, h=math.log(2), r=1.0, n=100, seed=0)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_inner_radius_rejected_before_drawing(self, monkeypatch, r):
+        monkeypatch.setattr(bounds, "_philox", None)
+        with pytest.raises(InvalidQueryError, match=f"R must be finite and > 0, got {r!r}"):
+            verify_eq3(Q11, h=1.5, r=r, n=100, seed=0)
+
     def test_unreachable_region_detected(self):
         # Inside |lambda| <= 10, sigma_1 >= -10 - ln 10, so the tail
         # sigma_1 < -30 has no points and rejection sampling must give up.
@@ -106,6 +112,12 @@ class TestVerifyEq4:
     def test_window_inside_exclusion_radius(self):
         with pytest.raises(EmptyRegionError):
             verify_eq4(Q11, h=1.5, r=2.0, n=100, seed=0, window=1.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_inner_radius_rejected_before_drawing(self, monkeypatch, r):
+        monkeypatch.setattr(bounds, "_philox", None)
+        with pytest.raises(InvalidQueryError, match=f"R must be finite and > 0, got {r!r}"):
+            verify_eq4(Q11, h=1.5, r=r, n=100, seed=0)
 
     def test_h_below_threshold_rejected(self):
         q = Quasipolynomial(1, 2)

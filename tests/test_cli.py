@@ -74,12 +74,25 @@ class TestZerosCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["command"] == "zeros"
         assert doc["config"]["k"] == 2
         assert doc["config"]["a"] == {"re": 0.0, "im": 3.0}
         assert doc["timings"] is None
         assert len(doc["results"]["records"]) == 4
+
+    def test_json_records_carry_the_proven_radius(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["zeros", "--k", "2", "--a", "3i", "--nu=-8..8", "--format", "json"],
+        )
+        assert code == 0
+        rows = json.loads(out)["results"]["records"]
+        records = {r.nu: r for r in enumerate_zeros(Quasipolynomial(2, 3j), -8, 8)}
+        assert sorted(row["nu"] for row in rows) == sorted(records)
+        for row in rows:
+            assert row["radius"] == records[row["nu"]].radius > 0
+            assert "fixedpoint_iters" not in row
 
     def test_malformed_coefficient_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -164,7 +177,7 @@ class TestBoundsCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["results"]["passed"] is True
         assert doc["results"]["min_ratio"] >= 0.5
         assert doc["config"]["h"] == pytest.approx(math.log(2) + 0.5)
@@ -275,6 +288,16 @@ class TestBoundsCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("ineq", ["eq3", "eq4"])
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_inner_radius_is_usage_error(self, capsys, ineq, r):
+        code, out, err = run_cli(
+            capsys, ["bounds", "--ineq", ineq, "--k", "1", "--a", "1", f"--R={r}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: R must be finite and > 0, got {float(r)!r}\n"
 
     @pytest.mark.parametrize("flags", NONFINITE, ids=" ".join)
     def test_nonfinite_inputs_print_no_traceback(self, flags):

@@ -1,4 +1,4 @@
-"""Zero chain enumeration: guesses, both refiners, spacing, small zeros."""
+"""Zero chain enumeration: guesses, refiners, spacing, small zeros."""
 
 from __future__ import annotations
 
@@ -14,12 +14,10 @@ from quasizero import (
     InvalidIndexError,
     InvalidQueryError,
     NonConsecutiveError,
-    NotConvergedError,
     Quasipolynomial,
     asymptotic_guess,
     count_zeros_disk,
     enumerate_zeros,
-    fixedpoint_refine,
     newton_refine,
     nu_min,
     sigma,
@@ -83,44 +81,13 @@ class TestAsymptoticGuess:
         assert abs(sigma(Q11, 1, variant)) > 2.0
 
 
-class TestFixedpointRefine:
-    def test_lands_on_zero_curve(self):
-        z = fixedpoint_refine(Q11, 10)
-        assert abs(sigma(Q11, 1, z)) < 1e-9
-
-    def test_agrees_with_newton(self):
-        q = Quasipolynomial(2, 3j)
-        z_fp = fixedpoint_refine(q, 20)
-        z_nw = newton_refine(q, asymptotic_guess(q, 20)).refined
-        assert abs(z_fp - z_nw) < 1e-9
-
-    def test_exhausted_budget_reports_last_iterate(self):
-        with pytest.raises(NotConvergedError) as exc:
-            fixedpoint_refine(Q11, 10, max_iter=1, tol=1e-15)
-        assert exc.value.iterations == 1
-        assert isinstance(exc.value.last, complex)
-
-    def test_small_index_rejected(self):
-        with pytest.raises(InvalidIndexError):
-            fixedpoint_refine(Q11, 2)
-        with pytest.raises(InvalidIndexError):
-            fixedpoint_refine(Quasipolynomial(3, 1), -2)
-
-    def test_distance_to_guess_decays(self):
-        d10 = abs(fixedpoint_refine(Q11, 10) - asymptotic_guess(Q11, 10))
-        d100 = abs(fixedpoint_refine(Q11, 100) - asymptotic_guess(Q11, 100))
-        assert d100 < d10
-        # The remainder scales like ln|nu|/|nu|.
-        assert d100 < d10 * (math.log(100) / 100) / (math.log(10) / 10) * 3
-
-
 class TestNewtonRefine:
     def test_converges_to_bisection_root(self, omega):
         rec = newton_refine(Q11, -0.5)
         assert abs(rec.refined - omega) < 1e-9
         assert rec.residual < 1e-12
         assert rec.newton_iters >= 1
-        assert rec.nu is None
+        assert rec.nu is None and rec.radius is None
 
     def test_from_asymptotic_seed(self):
         rec = newton_refine(Q11, asymptotic_guess(Q11, 1))
@@ -210,8 +177,17 @@ class TestEnumerateZeros:
 
     def test_both_refiners_recorded(self):
         rec = enumerate_zeros(Q11, 7, 7)[0]
-        assert rec.fixedpoint_iters >= 1
+        assert rec.radius > 0
+        assert rec.fixedpoint_iters == 0
         assert rec.guess == asymptotic_guess(Q11, 7)
+
+    def test_distance_to_guess_decays(self):
+        (r10,), (r100,) = enumerate_zeros(Q11, 10, 10), enumerate_zeros(Q11, 100, 100)
+        d10 = abs(r10.refined - r10.guess)
+        d100 = abs(r100.refined - r100.guess)
+        assert d100 < d10
+        # The remainder scales like ln|nu|/|nu|.
+        assert d100 < d10 * (math.log(100) / 100) / (math.log(10) / 10) * 3
 
     def test_invalid_range(self):
         with pytest.raises(InvalidQueryError):

@@ -1,16 +1,18 @@
 """The zero chain against oracles that share no code with the refiners.
 
-enumerate_zeros refines each chain zero on its branch equation; every zero it
-returns is compared with the Lambert-W zero of the same branch, computed with
-mpmath at 30 digits.  newton_refine works on f itself for free seeds, from one
-kernel that divides both terms by the larger; it is compared with a reference
-loop written only with the public eval_f, eval_fprime, relative_magnitude and
-sigma, which switches to a dominant-term step only far from the zero curve.
+enumerate_zeros refines each chain zero on its branch equation and proves a
+disk around it; every zero it returns, and every disk, is compared with the
+Lambert-W zero of the same branch, computed with mpmath at 30 digits.
+newton_refine works on f itself for free seeds, from one kernel that divides
+both terms by the larger; it is compared with a reference loop written only
+with the public eval_f, eval_fprime, relative_magnitude and sigma, which
+switches to a dominant-term step only far from the zero curve.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 
@@ -131,7 +133,7 @@ def _outcome(fn, *args):
         return (type(exc).__name__,)
     if isinstance(result, tuple):  # ref_newton's (seed, lam, residual, iters)
         return ("returned", result[1], result[3])
-    assert result.nu is None and result.fixedpoint_iters == 0
+    assert result.nu is None and result.radius is None
     return ("returned", result.refined, result.newton_iters)
 
 
@@ -242,51 +244,66 @@ def test_newton_refine_checks_every_iterate_is_finite(monkeypatch):
         newton_refine(q, asymptotic_guess(q, 5) + 1)
 
 
-def test_enumerate_zeros_matches_lambert_w():
-    blocks = list(_blocks()) + list(_wide_blocks(100))
-    misses = []
-    for q, lo, hi in blocks:
+@functools.cache
+def _grid_records():
+    """(q, lo, hi, records, Lambert-W zero of each record) on the chain grid."""
+    out = []
+    for q, lo, hi in list(_blocks()) + list(_wide_blocks(100)):
         records = enumerate_zeros(q, lo, hi)
+        refs = [lambert_w_chain_zero(q.k, q.a, rec.nu) for rec in records]
+        out.append((q, lo, hi, records, refs))
+    return out
+
+
+def test_enumerate_zeros_matches_lambert_w():
+    misses = []
+    for q, lo, hi, records, refs in _grid_records():
         wanted = [nu for nu in range(lo, hi + 1) if abs(nu) >= nu_min(q)]
         assert sorted(r.nu for r in records) == wanted, (q, lo, hi)
-        for rec in records:
-            z = lambert_w_chain_zero(q.k, q.a, rec.nu)
+        for rec, z in zip(records, refs):
             if abs(rec.refined - z) > 1e-15 * max(1.0, abs(z)):
                 misses.append((q, rec.nu, rec.refined, z))
     assert not misses, misses[:3]
     # the grid reaches k = 200, |nu| = 1e6 and both ends of the |A| range
-    assert max(q.k for q, _, _ in blocks) == 200
-    assert max(abs(lo) for _, lo, _ in blocks) > 999_000
-    assert min(q.abs_a for q, _, _ in blocks) < 1e-19
-    assert max(q.abs_a for q, _, _ in blocks) > 1e19
+    blocks = _grid_records()
+    assert max(q.k for q, *_ in blocks) == 200
+    assert max(abs(lo) for _, lo, *_ in blocks) > 999_000
+    assert min(q.abs_a for q, *_ in blocks) < 1e-19
+    assert max(q.abs_a for q, *_ in blocks) > 1e19
+
+
+def test_every_chain_disk_holds_its_lambert_w_zero():
+    misses = []
+    for q, _, _, records, refs in _grid_records():
+        for rec, z in zip(records, refs):
+            # the proven disk holds the reference zero and stays tight
+            if not abs(rec.refined - z) <= rec.radius <= 64 * math.ulp(abs(rec.refined)):
+                misses.append((q, rec.nu, rec.refined, rec.radius, z))
+    assert not misses, misses[:3]
 
 
 def test_chain_reaches_each_refiner_error(monkeypatch):
     q = Quasipolynomial(2, 3j)
     with monkeypatch.context() as m:
-        m.setattr(zeros_mod, "FIXEDPOINT_MAX_ITER", 1)
-        with pytest.raises(NotConvergedError, match="fixed-point") as exc:
-            enumerate_zeros(q, 5, 6)
-        assert exc.value.iterations == 1
-        # a negative index is refined as the mirror's branch -nu, but the
-        # error names nu and the iterate on branch nu, in the lower half-plane
-        with pytest.raises(NotConvergedError, match="fixed-point") as exc:
-            enumerate_zeros(q, -6, -6)
-        assert "nu = -6 " in str(exc.value)
-        assert exc.value.last.imag < 0
-    with monkeypatch.context() as m:
         m.setattr(zeros_mod, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NotConvergedError, match="Newton") as exc:
             enumerate_zeros(q, -6, -5)
         assert exc.value.iterations == 1
+        # a negative index is refined as the mirror's branch -nu, but the
+        # error names nu and the iterate on branch nu, in the lower half-plane
         with pytest.raises(NotConvergedError, match="Newton") as exc:
             enumerate_zeros(q, -6, -6)
         assert "nu = -6 " in str(exc.value)
         assert exc.value.last.imag < 0
+        with pytest.raises(NotConvergedError, match="Newton") as exc:
+            enumerate_zeros(q, 6, 6)
+        assert "nu = 6 " in str(exc.value)
+        assert exc.value.last.imag > 0
     with monkeypatch.context() as m:
-        m.setattr(zeros_mod, "_REFINER_AGREEMENT_TOL", -1.0)
-        with pytest.raises(CertificationError, match="refiners disagree"):
-            enumerate_zeros(q, 5, 6)
+        # a rounding bound this large leaves no disk inside the upper half-plane
+        m.setattr(zeros_mod, "_ROUCHE_ERR", 1.0)
+        with pytest.raises(CertificationError, match=r"nu = -6: \|G\| = .*, \|G'\| = .*, r = "):
+            enumerate_zeros(q, -6, -5)
     # restored: the same block returns
     assert [r.nu for r in enumerate_zeros(q, 5, 6)] == [5, 6]
 
