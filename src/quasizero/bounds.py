@@ -19,6 +19,8 @@ each report's min_ratio is that kernel's value at its worst sample.  Where
 one term dominates by far (Re u < -42, most samples of eq3 and eq4) the ratio
 is exactly 1.0 in binary64; those saturated samples get 1.0 without the
 complex log and exp, so every ratio equals the full evaluation bit for bit.
+The sampler works out ln(x^2 + y^2) once per drawn point, for its region
+test, and a saturated sample is judged from the sigma_1 its draw computed.
 
 The quadrangle helper cuts the band into cells by horizontal lines placed
 pi + k*pi/2 + arg(a) below consecutive refined zeros; each cell contains
@@ -115,6 +117,16 @@ def _check_positive(**values: float) -> None:
             raise InvalidQueryError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _check_band_holds_curve(q: Quasipolynomial, h: float) -> None:
+    """Reject a band half-width h that is not finite or leaves the zero curve out."""
+    _check_finite(h=h)
+    if not h > abs(q.log_abs_a):
+        raise InvalidQueryError(
+            f"band must contain the zero curve: need h > |ln|a|| = "
+            f"{abs(q.log_abs_a):.6g}, got h = {h!r}"
+        )
+
+
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct streams never share draws."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
@@ -124,21 +136,31 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
 def _rejection_sample(
     rng: np.random.Generator,
     hull: tuple[float, float, float, float],
-    accept: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    k: int,
+    accept: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     n: int,
     what: str,
-) -> np.ndarray:
-    """n accepted points (complex array) drawn uniformly from the hull box."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """n accepted points (complex array) drawn uniformly from the hull box.
+
+    Each draw's rr = x^2 + y^2 and half_log = (k/2) ln rr are computed once,
+    for accept(xs, ys, rr, half_log); each accepted point's sigma_1 =
+    x - half_log is returned beside it, nan where rr is not a normal float.
+    """
     x_lo, x_hi, y_lo, y_hi = hull
     if not (x_lo < x_hi and y_lo < y_hi):
         raise EmptyRegionError(f"degenerate sampling hull for {what}")
     lam = np.empty(n, dtype=complex)
+    sig1 = np.empty(n)
     taken = 0
     consecutive_rejects = 0
     while taken < n:
         xs = rng.uniform(x_lo, x_hi, _CHUNK)
         ys = rng.uniform(y_lo, y_hi, _CHUNK)
-        hits = np.flatnonzero(accept(xs, ys))[: n - taken]
+        with np.errstate(all="ignore"):
+            rr = xs * xs + ys * ys
+            half_log = 0.5 * k * np.log(rr)
+        hits = np.flatnonzero(accept(xs, ys, rr, half_log))[: n - taken]
         if hits.size == 0:
             consecutive_rejects += _CHUNK
             if consecutive_rejects >= MAX_CONSECUTIVE_REJECTS:
@@ -147,46 +169,43 @@ def _rejection_sample(
                 )
             continue
         consecutive_rejects = 0
-        lam.real[taken : taken + hits.size] = xs[hits]
-        lam.imag[taken : taken + hits.size] = ys[hits]
+        got = slice(taken, taken + hits.size)
+        lam.real[got] = xs[hits]
+        lam.imag[got] = ys[hits]
+        trusted = (rr[hits] >= _RR_NORMAL) & (rr[hits] < math.inf)
+        sig1[got] = np.where(trusted, xs[hits] - half_log[hits], math.nan)
         taken += hits.size
-    return lam
+    return lam, sig1
 
 
-def _sigma1(
-    q: Quasipolynomial, xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x^2 + y^2, sigma_1 = x - (k/2) ln(x^2 + y^2)) at the points x + iy."""
-    with np.errstate(all="ignore"):
-        rr = xs * xs + ys * ys
-        return rr, xs - 0.5 * q.k * np.log(rr)
-
-
-def _saturated(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
+def _saturated(q: Quasipolynomial, sig1: np.ndarray, alg: bool) -> np.ndarray:
     """Mask of the points where _ratio_batch is exactly 1.0 without evaluation.
 
     Re u is sigma_1 - ln|a| for the algebraic ratio and ln|a| - sigma_1 for
-    the exponential one.  The real-valued estimate is trusted only where
-    x^2 + y^2 is a normal float: there it differs from the Re u that the full
-    evaluation computes by rounding errors far below the 4 e-folds between
-    _SATURATED_U and ln 2^-54, where 1 + e^u would stop rounding to 1.
+    the exponential one.  sig1 comes from _rejection_sample, which trusts it
+    only where x^2 + y^2 is a normal float: there it differs from the Re u
+    that the full evaluation computes by rounding errors far below the 4
+    e-folds between _SATURATED_U and ln 2^-54, where 1 + e^u would stop
+    rounding to 1.
     """
-    rr, sig = _sigma1(q, lam.real, lam.imag)
-    est = sig - q.log_abs_a if alg else q.log_abs_a - sig
-    return (est < _SATURATED_U) & (rr >= _RR_NORMAL) & (rr < math.inf)
+    est = sig1 - q.log_abs_a if alg else q.log_abs_a - sig1
+    return est < _SATURATED_U
 
 
-def _ratio_batch(q: Quasipolynomial, lam: np.ndarray, alg: bool) -> np.ndarray:
+def _ratio_batch(
+    q: Quasipolynomial, lam: np.ndarray, sig1: np.ndarray, alg: bool
+) -> np.ndarray:
     """Vectorized |1 + e^u| with the exponent clipped, at every point.
 
     u is lambda - k Log lambda - Log a for the algebraic ratio (alg,
     |f|/|a lambda^k|) and k Log lambda + Log a - lambda for the exponential
-    one (|f|/|e^lambda|).  Points where Re u is provably below _SATURATED_U get
-    exactly 1.0 and are not evaluated.  Clipping only fires where the true
-    ratio is astronomically large or saturated at 1, never near a minimum, so
-    min/argmin selection is exact.
+    one (|f|/|e^lambda|).  sig1 holds each point's sigma_1 from
+    _rejection_sample; points where it puts Re u provably below _SATURATED_U
+    get exactly 1.0 and are not evaluated.  Clipping only fires where the
+    true ratio is astronomically large or saturated at 1, never near a
+    minimum, so min/argmin selection is exact.
     """
-    saturated = _saturated(q, lam, alg)
+    saturated = _saturated(q, sig1, alg)
     live = np.flatnonzero(~saturated) if saturated.any() else slice(None)
     part = lam[live]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -223,6 +242,37 @@ def _finish_report(
     )
 
 
+def _sample_tail(
+    q: Quasipolynomial, h: float, r: float, n: int, seed: int, window: float,
+    need: str, threshold_h: float, region: str,
+    in_tail: Callable[[np.ndarray, np.ndarray], np.ndarray], alg: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and ratios of the eq3 or eq4 check within R < |lambda| <= window.
+
+    need names the bound h must exceed ("eq3 needs h > ln(2/|a|)"),
+    threshold_h is its value, and in_tail(xs, half_log) tests the region
+    with half_log = (k/2) ln(x^2 + y^2).
+    """
+    if n <= 0:
+        raise EmptySampleError(f"need at least one sample, got n = {n}")
+    _check_positive(R=r)
+    _check_finite(h=h, window=window)
+    if not h > threshold_h:
+        raise InvalidQueryError(f"{need} = {threshold_h:.6g}, got h = {h!r}")
+    if not window > r:
+        raise EmptyRegionError(
+            f"window {window!r} leaves no room outside the inner disk R = {r!r}"
+        )
+    w2, r2 = window * window, r * r
+
+    def accept(xs, ys, rr, half_log):
+        return (rr <= w2) & (rr > r2) & in_tail(xs, half_log)
+
+    hull = (-window, window, -window, window)
+    lam, sig1 = _rejection_sample(_philox(seed), hull, q.k, accept, n, region)
+    return lam, _ratio_batch(q, lam, sig1, alg)
+
+
 def verify_eq3(
     q: Quasipolynomial,
     h: float,
@@ -236,28 +286,10 @@ def verify_eq3(
     Requires h > ln(2/|a|) so the bound is provable; the report also carries
     the sharper analytic floor 1 - e^(-h)/|a|.
     """
-    if n <= 0:
-        raise EmptySampleError(f"need at least one sample, got n = {n}")
-    _check_positive(R=r)
-    _check_finite(h=h, window=window)
-    threshold_h = min_h_t1(q)
-    if not h > threshold_h:
-        raise InvalidQueryError(
-            f"eq3 needs h > ln(2/|a|) = {threshold_h:.6g}, got h = {h!r}"
-        )
-    if not window > r:
-        raise EmptyRegionError(
-            f"window {window!r} leaves no room outside the inner disk R = {r!r}"
-        )
-    w2, r2 = window * window, r * r
-
-    def accept(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rr, sig = _sigma1(q, xs, ys)
-        return (rr <= w2) & (rr > r2) & (sig < -h)
-
-    rng = _philox(seed)
-    lam = _rejection_sample(rng, (-window, window, -window, window), accept, n, "T1")
-    ratios = _ratio_batch(q, lam, alg=True)
+    lam, ratios = _sample_tail(
+        q, h, r, n, seed, window, "eq3 needs h > ln(2/|a|)", min_h_t1(q), "T1",
+        lambda xs, half_log: xs - half_log < -h, alg=True,
+    )
     floor = 1.0 - math.exp(-h) / abs(q.a)
     return _finish_report("eq3", lam, ratios, HALF_THRESHOLD, seed, analytic_floor=floor)
 
@@ -278,34 +310,13 @@ def verify_eq4(
     contains the large zeros, so the inequality genuinely fails there) and
     its report should be read, not asserted.
     """
-    if n <= 0:
-        raise EmptySampleError(f"need at least one sample, got n = {n}")
-    _check_positive(R=r)
-    _check_finite(h=h, window=window)
-    threshold_h = min_h_t2(q)
-    if not h > threshold_h:
-        raise InvalidQueryError(
-            f"eq4 needs h > ln(2|a|) = {threshold_h:.6g}, got h = {h!r}"
-        )
-    if not window > r:
-        raise EmptyRegionError(
-            f"window {window!r} leaves no room outside the inner disk R = {r!r}"
-        )
-    w2, r2 = window * window, r * r
-
-    def accept(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if printed_set:
-            rr = xs * xs + ys * ys
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sig = xs + 0.5 * q.k * np.log(rr)
-        else:
-            rr, sig = _sigma1(q, xs, ys)
-        return (rr <= w2) & (rr > r2) & (sig > h)
-
-    rng = _philox(seed)
-    region = "sigma_2 > h" if printed_set else "sigma_1 > h"
-    lam = _rejection_sample(rng, (-window, window, -window, window), accept, n, region)
-    ratios = _ratio_batch(q, lam, alg=False)
+    lam, ratios = _sample_tail(
+        q, h, r, n, seed, window, "eq4 needs h > ln(2|a|)", min_h_t2(q),
+        "sigma_2 > h" if printed_set else "sigma_1 > h",
+        (lambda xs, half_log: xs + half_log > h) if printed_set
+        else (lambda xs, half_log: xs - half_log > h),
+        alg=False,
+    )
     ident = "eq4-printed" if printed_set else "eq4"
     return _finish_report(ident, lam, ratios, HALF_THRESHOLD, seed)
 
@@ -326,18 +337,13 @@ def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
     # to the negative real axis its modulus exceeds that of the zero of index
     # -+(nu_min - 1) by less than 0.05.
     outer = max(abs(rec.refined) for rec in records if abs(rec.nu) == nu_min(q))
-    small: list[complex] | None = None
-    last_err: Exception | None = None
     for bump in range(1, 9):
         try:
             small = small_zeros(q, outer - SMALL_DISK_MARGIN * bump)
-        except (BoundaryZeroError, DepthExceededError) as err:
-            last_err = err
-            continue
-        break
-    if small is None:
-        assert last_err is not None
-        raise last_err
+            break
+        except (BoundaryZeroError, DepthExceededError):
+            if bump == 8:
+                raise
     for z in small:
         if all(abs(z - existing) > 1e-6 for existing in zeros):
             zeros.append(z)
@@ -400,12 +406,7 @@ def estimate_c_delta(
     if n <= 0:
         raise EmptySampleError(f"need at least one sample, got n = {n}")
     _check_positive(delta=delta, R=r)
-    _check_finite(h=h)
-    if not h > abs(q.log_abs_a):
-        raise InvalidQueryError(
-            f"band must contain the zero curve: need h > |ln|a|| = "
-            f"{abs(q.log_abs_a):.6g}, got h = {h!r}"
-        )
+    _check_band_holds_curve(q, h)
     if nu_hi < nu_min(q):
         raise InvalidIndexError(f"nu_hi must be >= nu_min = {nu_min(q)}, got {nu_hi}")
 
@@ -422,9 +423,8 @@ def estimate_c_delta(
     x_hi = h + q.k * math.log(3.0 * y_max + 10.0) + 1.0
     r2 = r * r
 
-    def accept(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rr, sig = _sigma1(q, xs, ys)
-        ok = (np.abs(ys) <= y_max) & (rr > r2) & (np.abs(sig) <= h)
+    def accept(xs, ys, rr, half_log):
+        ok = (np.abs(ys) <= y_max) & (rr > r2) & (np.abs(xs - half_log) <= h)
         if ok.any():
             ok[ok] = _clear_of(xs[ok] + 1j * ys[ok], zs, delta)
         return ok
@@ -432,10 +432,10 @@ def estimate_c_delta(
     hull = (x_lo, x_hi, -y_max, y_max)
 
     def run(stream: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        lam = _rejection_sample(
-            _philox(seed, stream), hull, accept, count, "punctured band"
+        lam, sig1 = _rejection_sample(
+            _philox(seed, stream), hull, q.k, accept, count, "punctured band"
         )
-        return lam, _ratio_batch(q, lam, alg=True)
+        return lam, _ratio_batch(q, lam, sig1, alg=True)
 
     lam, ratios = run(0, n)
     _, ratios2 = run(1, 2 * n)
@@ -446,12 +446,14 @@ def estimate_c_delta(
     )
 
 
-#: vertical distance from a chain zero down to its cut line
 def _cut_offset(q: Quasipolynomial) -> float:
-    # The raw offset pi + k*pi/2 + arg(a) can exceed one 2*pi period (for
-    # example k = 2 with arg(a) = pi/4 gives 2.25*pi); reduced into
-    # (0, 2*pi], the strip between consecutive cut lines is exactly one
-    # period tall and brackets its own zero.
+    """Vertical distance from a chain zero down to its cut line.
+
+    The raw offset pi + k*pi/2 + arg(a) can exceed one 2*pi period (for
+    example k = 2 with arg(a) = pi/4 gives 2.25*pi); reduced into (0, 2*pi],
+    the strip between consecutive cut lines is exactly one period tall and
+    brackets its own zero.
+    """
     raw = math.pi + q.k * math.pi / 2.0 + q.arg_a
     reduced = raw - math.tau * math.floor(raw / math.tau)
     return reduced if reduced > 0.0 else math.tau
@@ -471,20 +473,10 @@ def quadrangle(q: Quasipolynomial, nu: int, h: float) -> QuadrangleGeom:
         raise InvalidIndexError(f"nu must be an integer, got {nu!r}")
     if abs(nu) < nu_min(q):
         raise InvalidIndexError(f"|nu| must be >= nu_min = {nu_min(q)}, got {nu}")
-    if not h > abs(q.log_abs_a):
-        raise InvalidQueryError(
-            f"band must contain the zero curve: need h > |ln|a|| = "
-            f"{abs(q.log_abs_a):.6g}, got h = {h!r}"
-        )
+    _check_band_holds_curve(q, h)
     if nu < 0:
         mirrored = quadrangle(q.conjugate(), -nu, h)
-        bl, br, tr, tl = mirrored.corners
-        corners = (
-            tl.conjugate(),
-            tr.conjugate(),
-            br.conjugate(),
-            bl.conjugate(),
-        )
+        corners = tuple(c.conjugate() for c in reversed(mirrored.corners))
         return QuadrangleGeom(nu=nu, corners=corners, diag=mirrored.diag)
 
     z_lo, z_hi = (rec.refined for rec in enumerate_zeros(q, nu, nu + 1))

@@ -73,6 +73,10 @@ WINDING_INT_TOL = 1e-6
 DEFAULT_MAX_DEPTH = 24
 MIN_MAX_DEPTH = 8
 
+#: isolate_zeros gives up on a box that still holds several zeros after this
+#: many levels of splits
+MAX_SUBDIVISIONS = 64
+
 #: deterministic relative offsets tried for interior split lines when a zero
 #: lands on one (first entry is the unjittered split)
 _SPLIT_JITTER = ((0.0, 0.0), (1e-4, 1e-4), (-2e-4, 1.5e-4), (2.5e-4, -2e-4))
@@ -693,7 +697,6 @@ def isolate_zeros(
     rect: Rect,
     eps: float,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    max_subdivisions: int = 64,
 ) -> list[Rect]:
     """Quadtree isolation: disjoint boxes of diameter <= eps, one zero each.
 
@@ -706,8 +709,9 @@ def isolate_zeros(
     (see _split).  When a zero lands on an interior split line
     (BoundaryZeroError or DepthExceededError from a child), the split point
     is retried at a fixed sequence of relative jitters before the error is
-    allowed to escape.  The union of returned boxes accounts for every zero
-    of the root rectangle.
+    allowed to escape.  A box that still holds several zeros after
+    MAX_SUBDIVISIONS levels raises DepthExceededError.  The union of
+    returned boxes accounts for every zero of the root rectangle.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidQueryError(f"eps must be finite and > 0, got {eps!r}")
@@ -729,9 +733,9 @@ def isolate_zeros(
             if found is not None:
                 out.append(found)
                 continue
-        if level >= max_subdivisions:
+        if level >= MAX_SUBDIVISIONS:
             raise DepthExceededError(
-                f"{count} zero(s) not separated after {max_subdivisions} subdivisions "
+                f"{count} zero(s) not separated after {MAX_SUBDIVISIONS} subdivisions "
                 f"around {box.center!r}"
             )
         # A zero on a split line usually surfaces as DepthExceededError (the

@@ -144,8 +144,11 @@ def gamma_abscissa(q: Quasipolynomial, s: int, h: float, y: float) -> float:
     scanning [-(|y|+|h|+10), |y|+|h|+10]; the returned x satisfies
     |sigma_S(x + iy) - h| < 1e-10.  Raises NoSolutionError when no sign change
     exists inside the scan bracket (possible for large k, where the curve
-    escapes it).
+    escapes it), InvalidQueryError when h or y is not finite.
     """
+    for name, value in (("h", h), ("y", y)):
+        if not math.isfinite(value):
+            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
     lo = -(abs(y) + abs(h) + 10.0)
     hi = abs(y) + abs(h) + 10.0
 
@@ -234,12 +237,15 @@ def gamma_polyline(
     """n points of the curve sigma_S = h at equally spaced Im values.
 
     The Im range must lie inside the half plane selected by j (j = 1 is
-    Im < 0, j = 2 is Im >= 0).
+    Im < 0, j = 2 is Im >= 0) and be finite.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidQueryError(f"n must be an integer >= 2, got {n!r}")
     if s not in (1, 2):
         raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
+    for name, value in (("im_lo", im_lo), ("im_hi", im_hi)):
+        if not math.isfinite(value):
+            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
     if im_lo > im_hi:
         raise InvalidQueryError(f"empty Im range [{im_lo!r}, {im_hi!r}]")
     if j == 1:

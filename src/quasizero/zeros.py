@@ -247,12 +247,7 @@ def _newton_terms(q: Quasipolynomial, lam: complex) -> tuple[float, complex, flo
     return abs(num), num / den, abs(den) / max(abs(term1), abs(term2))
 
 
-def newton_refine(
-    q: Quasipolynomial,
-    seed: complex,
-    max_iter: int = NEWTON_MAX_ITER,
-    tol: float = NEWTON_TOL,
-) -> ZeroRecord:
+def newton_refine(q: Quasipolynomial, seed: complex) -> ZeroRecord:
     """Newton iteration on f itself from a free seed.
 
     This is the refiner for seeds that carry no chain index: the small_zeros
@@ -262,9 +257,10 @@ def newton_refine(
     branch index of its iterates jumps by k from one step to the next.
 
     Stops when the relative residual |f| / max(|e^lambda|, |a*lambda^k|)
-    drops below tol, or right after a step of at most 4 ulps of |lambda|,
-    where the residual has reached its float floor; a seed that already
-    satisfies the residual gate returns with zero iterations.  Raises
+    drops below NEWTON_TOL, or right after a step of at most 4 ulps of
+    |lambda|, where the residual has reached its float floor; a seed that
+    already satisfies the residual gate returns with zero iterations.  Raises
+    NotConvergedError after NEWTON_MAX_ITER steps without either stop,
     DivergedError when an iterate leaves the disk of radius 5 around the
     seed, DerivativeVanishedError when f' vanishes, and
     DegenerateZeroError when the converged zero has relative |f'| < 1e-8
@@ -274,11 +270,11 @@ def newton_refine(
     lam = seed
     residual, step, rel_fprime = _newton_terms(q, lam)
     iters = 0
-    while residual >= tol:
-        if iters >= max_iter:
+    while residual >= NEWTON_TOL:
+        if iters >= NEWTON_MAX_ITER:
             raise NotConvergedError(
-                f"Newton did not reach residual {tol:g} in {max_iter} steps "
-                f"(residual {residual:.3e})",
+                f"Newton did not reach residual {NEWTON_TOL:g} in "
+                f"{NEWTON_MAX_ITER} steps (residual {residual:.3e})",
                 last=lam,
                 iterations=iters,
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -221,8 +222,18 @@ def _reference_ratio_exp_batch(q, lam):
         return np.abs(1.0 + np.exp(u))
 
 
-def _reference_rejection_sample(rng, hull, accept, n, what):
-    """The list-and-concatenate sampler that the preallocated one replaced."""
+def _reference_sigma1(k, lam):
+    """sigma_1 recomputed from the points, as the two-pass sampler did: nan
+    where x^2 + y^2 overflows or is not a normal float, so never saturated."""
+    with np.errstate(all="ignore"):
+        rr = lam.real * lam.real + lam.imag * lam.imag
+        sig = lam.real - 0.5 * k * np.log(rr)
+    return np.where((rr >= sys.float_info.min) & (rr < math.inf), sig, math.nan)
+
+
+def _reference_rejection_sample(rng, hull, k, accept, n, what):
+    """The list-and-concatenate sampler that the preallocated one replaced,
+    with sigma_1 recomputed from its points in a second pass."""
     x_lo, x_hi, y_lo, y_hi = hull
     if not (x_lo < x_hi and y_lo < y_hi):
         raise EmptyRegionError(f"degenerate sampling hull for {what}")
@@ -232,7 +243,10 @@ def _reference_rejection_sample(rng, hull, accept, n, what):
     while taken < n:
         xs = rng.uniform(x_lo, x_hi, bounds._CHUNK)
         ys = rng.uniform(y_lo, y_hi, bounds._CHUNK)
-        mask = accept(xs, ys)
+        with np.errstate(all="ignore"):
+            rr = xs * xs + ys * ys
+            half_log = 0.5 * k * np.log(rr)
+        mask = accept(xs, ys, rr, half_log)
         hits = int(mask.sum())
         if hits == 0:
             consecutive_rejects += bounds._CHUNK
@@ -244,7 +258,8 @@ def _reference_rejection_sample(rng, hull, accept, n, what):
         consecutive_rejects = 0
         kept.append((xs + 1j * ys)[mask])
         taken += hits
-    return np.concatenate(kept)[:n]
+    lam = np.concatenate(kept)[:n]
+    return lam, _reference_sigma1(k, lam)
 
 
 def _points_at_re_u(q, targets, rng):
@@ -292,11 +307,12 @@ class TestBatchedRatioKernel:
             assert (sign * re_u > 700.0).sum() > 100
             assert (np.abs(sign * re_u + 42.0) < 1.0).sum() > 1000
 
+        sig1 = _reference_sigma1(q.k, lam)
         for alg, reference in ((True, _reference_ratio_alg_batch),
                                (False, _reference_ratio_exp_batch)):
             expected = reference(q, lam)
-            assert np.array_equal(bounds._ratio_batch(q, lam, alg), expected)
-            skipped = bounds._saturated(q, lam, alg)
+            assert np.array_equal(bounds._ratio_batch(q, lam, sig1, alg), expected)
+            skipped = bounds._saturated(q, sig1, alg)
             assert (expected[skipped] == 1.0).all()
             # most points below the threshold are skipped, none above it
             sign = 1.0 if alg else -1.0
@@ -309,7 +325,7 @@ def _with_reference_sampler_and_kernels(call):
     ours = call()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "_rejection_sample", _reference_rejection_sample)
-        mp.setattr(bounds, "_ratio_batch", lambda q, lam, alg: (
+        mp.setattr(bounds, "_ratio_batch", lambda q, lam, sig1, alg: (
             _reference_ratio_alg_batch if alg else _reference_ratio_exp_batch)(q, lam))
         theirs = call()
     return ours, theirs
@@ -329,6 +345,11 @@ class TestReportsMatchTheReference:
         lambda: estimate_c_delta(Q11, h=2.0, r=1.0, delta=0.5, nu_hi=30, n=3_000, seed=42),
         lambda: estimate_c_delta(Quasipolynomial(2, 0.8 - 0.6j), h=1.5, r=1.0, delta=0.1,
                                  nu_hi=60, n=1_500, seed=4),
+        # both terms of f overflow binary64 at the worst sample
+        lambda: verify_eq4(Quasipolynomial(1, 1e305), h=math.log(2e305) + 0.5, r=1,
+                           n=20_000, seed=5, printed_set=True),
+        # every draw has a subnormal x^2 + y^2, so no sample may be skipped
+        lambda: verify_eq4(Q11, h=1.0, r=1e-162, n=1000, seed=1, window=1e-160),
     ])
     def test_identical_reports(self, call):
         ours, theirs = _with_reference_sampler_and_kernels(call)
@@ -341,27 +362,48 @@ class TestReportsMatchTheReference:
         (20, 0.9996),  # about 1.6 hits per chunk, some chunks have none
     ])
     def test_sampler_matches(self, n, threshold):
-        def accept(xs, ys):
+        def accept(xs, ys, rr, half_log):
             return xs > threshold
 
         def draw(sampler):
-            return sampler(bounds._philox(31), (-1.0, 1.0, -1.0, 1.0), accept, n, "cap")
+            return sampler(bounds._philox(31), (-1.0, 1.0, -1.0, 1.0), 3, accept, n, "cap")
 
-        ours = draw(bounds._rejection_sample)
-        theirs = draw(_reference_rejection_sample)
+        ours, our_sig = draw(bounds._rejection_sample)
+        theirs, their_sig = draw(_reference_rejection_sample)
         assert ours.shape == (n,)
         assert np.array_equal(ours, theirs)
         assert np.array_equal(np.signbit(ours.real), np.signbit(theirs.real))
         assert np.array_equal(np.signbit(ours.imag), np.signbit(theirs.imag))
+        assert np.array_equal(our_sig, their_sig)
+
+    @pytest.mark.parametrize("side, normal", [
+        (1e-160, 0.0),  # x^2 + y^2 below 1e-320 is subnormal
+        (1e-153, 0.9825),  # subnormal within 1.49e-154 of the origin: 1.75% of draws
+        (1e200, 0.0),  # x^2 + y^2 overflows
+    ])
+    def test_untrusted_sigma1_is_nan(self, side, normal):
+        def accept(xs, ys, rr, half_log):
+            return np.ones(xs.shape, dtype=bool)
+
+        def draw(sampler):
+            hull = (-side, side, -side, side)
+            return sampler(bounds._philox(2), hull, 2, accept, 1000, "square")
+
+        _, sig1 = draw(bounds._rejection_sample)
+        _, their_sig = draw(_reference_rejection_sample)
+        assert np.array_equal(sig1, their_sig, equal_nan=True)
+        assert np.isnan(sig1).mean() == pytest.approx(1.0 - normal, abs=0.01)
+        assert not bounds._saturated(Q11, sig1, True)[np.isnan(sig1)].any()
+        assert not bounds._saturated(Q11, sig1, False)[np.isnan(sig1)].any()
 
     def test_empty_region_same_error(self):
-        def never(xs, ys):
+        def never(xs, ys, rr, half_log):
             return np.zeros(xs.shape, dtype=bool)
 
         messages = []
         for sampler in (bounds._rejection_sample, _reference_rejection_sample):
             with pytest.raises(EmptyRegionError) as err:
-                sampler(bounds._philox(1), (0.0, 1.0, 0.0, 1.0), never, 10, "nothing")
+                sampler(bounds._philox(1), (0.0, 1.0, 0.0, 1.0), 1, never, 10, "nothing")
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -513,3 +555,6 @@ class TestQuadrangle:
             quadrangle(Q11, 2, 2.0)
         with pytest.raises(InvalidQueryError):
             quadrangle(Quasipolynomial(1, 10), 10, 1.0)
+        for h in (math.inf, math.nan):
+            with pytest.raises(InvalidQueryError, match="^h must be finite"):
+                quadrangle(Q11, 5, h)

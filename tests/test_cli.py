@@ -361,6 +361,24 @@ class TestGeometryCommand:
         diag_line = next(ln for ln in lines if ln.startswith("# diag "))
         assert float(diag_line.split()[-1]) == geom.diag
 
+    #: geometry inputs that are not finite, each a usage error naming the input
+    NONFINITE = [
+        (["--curve", "gamma", "--j", "2", "--h", "inf", "--im", "0..10"], "h"),
+        (["--curve", "gamma", "--j", "2", "--h", "nan", "--im", "0..10"], "h"),
+        (["--curve", "gamma", "--j", "2", "--h", "2", "--im", "0..inf"], "im_hi"),
+        (["--curve", "gamma", "--j", "2", "--h", "2", "--im", "nan..nan"], "im_lo"),
+        (["--quadrangle", "--nu", "5", "--h", "inf"], "h"),
+    ]
+
+    @pytest.mark.parametrize("flags, name", NONFINITE,
+                             ids=[" ".join(flags) for flags, _ in NONFINITE])
+    def test_nonfinite_inputs_are_usage_errors(self, capsys, flags, name):
+        code, out, err = run_cli(capsys, ["geometry", "--k", "1", "--a", "1", *flags])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {name} must be finite, got ")
+
     def test_quadrangle_requires_nu(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -176,6 +176,14 @@ class TestGammaAbscissa:
             gamma_abscissa(q, 1, 0.0, 5.0)
         assert exc.value.y == 5.0
 
+    @pytest.mark.parametrize("h, y, name", [
+        (math.inf, 10.0, "h"), (math.nan, 10.0, "h"), (-math.inf, 10.0, "h"),
+        (2.0, math.inf, "y"), (2.0, math.nan, "y"),
+    ])
+    def test_nonfinite_input_rejected(self, h, y, name):
+        with pytest.raises(InvalidQueryError, match=f"^{name} must be finite"):
+            gamma_abscissa(Q11, 1, h, y)
+
 
 class TestGammaPolyline:
     def test_points_on_curve(self):
@@ -204,3 +212,15 @@ class TestGammaPolyline:
             gamma_polyline(Q11, 1, 2, 2.0, -10.0, 200.0, 8)
         with pytest.raises(InvalidQueryError):
             gamma_polyline(Q11, 1, 5, 2.0, 10.0, 200.0, 8)
+
+    @pytest.mark.parametrize("h, im_lo, im_hi, name", [
+        (math.inf, 0.0, 10.0, "h"),
+        (math.nan, 0.0, 10.0, "h"),
+        (2.0, 0.0, math.inf, "im_hi"),
+        (2.0, math.nan, math.nan, "im_lo"),
+        (2.0, -math.inf, -1.0, "im_lo"),
+    ])
+    def test_nonfinite_input_rejected(self, h, im_lo, im_hi, name):
+        j = 1 if im_hi < 0 else 2
+        with pytest.raises(InvalidQueryError, match=f"^{name} must be finite"):
+            gamma_polyline(Q11, 1, j, h, im_lo, im_hi, 8)
