@@ -5,16 +5,15 @@ plane into four named regions around the zero curve, enumerates the zero
 chain from asymptotic guesses, each refined zero proven by a Rouche disk that
 holds exactly one zero of its branch, counts zeros by the argument principle,
 and verifies the dominance bounds by seeded sampling.
+
+Only the sampled bounds need numpy, so quasizero.bounds and its six
+re-exported names load on first access (PEP 562): importing the package
+for zeros, counts or regions leaves numpy unloaded.  The command line
+still loads it.
 """
 
-from .bounds import (
-    BoundReport,
-    QuadrangleGeom,
-    estimate_c_delta,
-    quadrangle,
-    verify_eq3,
-    verify_eq4,
-)
+import importlib
+
 from .core import (
     Quasipolynomial,
     eval_f,
@@ -75,6 +74,28 @@ from .zeros import (
 )
 
 __version__ = "0.1.0"
+
+#: names served from quasizero.bounds, which is imported on first access
+_BOUNDS_NAMES = frozenset(
+    {
+        "BoundReport",
+        "QuadrangleGeom",
+        "estimate_c_delta",
+        "quadrangle",
+        "verify_eq3",
+        "verify_eq4",
+    }
+)
+
+
+def __getattr__(name: str):
+    # import_module, not "from . import bounds": the latter looks the
+    # package attribute up first and so recurses back into this hook.
+    if name == "bounds" or name in _BOUNDS_NAMES:
+        bounds = importlib.import_module(f"{__name__}.bounds")
+        return bounds if name == "bounds" else getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundReport",

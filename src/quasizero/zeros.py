@@ -22,7 +22,8 @@ exactly one zero of branch nu; its radius is recorded.
 newton_refine is Newton on f itself, for seeds with no chain index (the
 small_zeros box centres and user seeds).  A free zero may lie on the branch
 cut of Log, where no single branch equation holds along the iteration, so it
-keeps the z-form with a trust disk around the seed.
+keeps the z-form with a trust disk around the seed.  small_zeros keeps its
+result only when a Rouche disk on f around it lies inside the seed's box.
 """
 
 from __future__ import annotations
@@ -388,34 +389,99 @@ def spacing_report(records: list[ZeroRecord]) -> SpacingReport:
     return SpacingReport(gaps=gaps, max_deviation_from_nu_10=max_dev, decay_ratio=ratio)
 
 
+def _box_zero(q: Quasipolynomial, box: Rect) -> tuple[complex, float] | None:
+    """(zero, radius): Newton's zero from the centre of box, proven in box.
+
+    The proof is a Rouche disk D(z, r) inside box: against the linear
+    Taylor model of f at z, |f'(z)|*r - |f(z)| - err > r^2*M2/2, where
+    M2 = e^(Re z + r) + |a|*k*(k-1)*(|z| + r)^(k-2) bounds |f''| on the disk,
+    so f has the model's one zero in the disk, and so box's zero.  Returns
+    None when Newton fails from the centre or no disk is proven.
+    """
+    try:
+        z = newton_refine(q, box.center).refined
+    except (NotConvergedError, DivergedError, DerivativeVanishedError) as err:
+        logger.debug("Newton from the centre of %r failed: %s", box, err)
+        return None
+    # f, f' and M2 are taken relative to S = |exp(dom)|, the larger term of
+    # f at z: the test is homogeneous in S, and no term can overflow.  err
+    # bounds the rounding of the computed |f|/S.  With u = 2**-53, the
+    # exponent Log a + k*Log z is off by at most 3u*|Log a| + 4u*k*|Log z| +
+    # 2u*k + 2u (the two cmath.log calls, the product and the sum), its
+    # difference with z rounds by u*(|Log a| + k*|Log z| + |z|), and exp,
+    # 1 + w and abs add 5u at |w| <= 1.  _ROUCHE_ERR's 8u per unit of
+    # |Log a| + k*|Log z| + |z| + k + 1 leaves at least 6u to spare.  At
+    # r = 2*(|f|/S + err)/|f'| both sides of the test are at most about
+    # |f|/S + err, below 1e-11 after a Newton stop, so the spare covers the
+    # test's own roundings and the relative roundings of |f'| and M2, which
+    # stay below 1e-4 while Newton keeps relative |f'| above 1e-8.
+    dom, w, exp_dominates = _dominant(q.log_a, q.k, z)
+    fz = abs(1.0 + w)
+    fp = abs(1.0 + q.k * w / z if exp_dominates else w + q.k / z)
+    mod = abs(z)
+    err = _ROUCHE_ERR * (abs(q.log_a) + q.k * abs(cmath.log(z)) + mod + q.k + 1.0)
+    r = 2.0 * (fz + err) / fp
+    if not box.contains(z, pad=-r):
+        logger.debug("Newton from the centre of %r left it for %r", box, z)
+        return None
+    # S >= |a*z^k| bounds the second exponent by (k - 2)*ln(1 + r/|z|) -
+    # 2*ln|z|, which stays far below overflow unless |z| is tiny
+    m2 = math.exp(z.real + r - dom.real)
+    if q.k > 1:
+        m2 += q.k * (q.k - 1) * math.exp(
+            q.log_abs_a + (q.k - 2) * math.log(mod + r) - dom.real
+        )
+    if not fp * r - fz - err > r * r * m2 / 2.0:
+        logger.debug("no Rouche disk proves %r in %r", z, box)
+        return None
+    return z, r
+
+
 def small_zeros(q: Quasipolynomial, radius: float) -> list[complex]:
     """All zeros with |lambda| <= radius, certified by a disk contour count.
 
-    Quadtree isolation over the bounding square yields one-zero boxes; each
-    box center is polished by Newton, results outside the disk are dropped,
-    and the survivors must match the disk count exactly.  Oracle errors
-    (boundary zeros, exhausted depth) propagate so the caller can adjust the
-    radius.
+    Quadtree isolation over the bounding square yields one-zero boxes.  Each
+    box centre is polished by Newton, and the result is kept when a Rouche
+    disk around it lies inside its box (_box_zero).  A box with no such disk
+    is isolated again at a quarter of its diameter; CertificationError names
+    a box that would go below DUPLICATE_TOL.  Zeros outside the disk are
+    dropped; the survivors' Rouche disks must not meet, and their number must
+    match the disk count exactly.  Oracle errors (boundary zeros, exhausted
+    depth) propagate so the caller can adjust the radius.
     """
     if not (radius > 0 and math.isfinite(radius)):
         raise InvalidQueryError(f"radius must be finite and > 0, got {radius!r}")
     square = Rect(-radius, radius, -radius, radius)
     eps = min(0.5, radius)
-    zeros: list[complex] = []
-    for box in isolate_zeros(q, square, eps):
-        rec = newton_refine(q, box.center)
-        if not box.contains(rec.refined, pad=0.1 * box.diameter):
-            raise CertificationError(
-                f"Newton left its isolation box: seed {box.center!r} "
-                f"-> {rec.refined!r}"
-            )
-        if abs(rec.refined) <= radius:
-            zeros.append(rec.refined)
+    pending = isolate_zeros(q, square, eps)
+    disks: list[tuple[complex, float]] = []
+    while pending:
+        box = pending.pop()
+        disk = _box_zero(q, box)
+        if disk is None:
+            if box.diameter / 4.0 < DUPLICATE_TOL:
+                raise CertificationError(
+                    f"no Rouche disk proves the zero in isolation box {box!r}"
+                )
+            pending += isolate_zeros(q, box, box.diameter / 4.0)
+        elif abs(disk[0]) <= radius:
+            disks.append(disk)
+    disks.sort(key=lambda d: (d[0].imag, d[0].real))
+    # disks in disjoint boxes cannot meet; two that do may hold one zero
+    reach = 2.0 * max((r for _, r in disks), default=0.0)
+    for i, (z, r) in enumerate(disks):
+        for other, r_other in disks[i + 1:]:
+            if other.imag - z.imag > reach:
+                break
+            if abs(other - z) <= r + r_other:
+                raise CertificationError(
+                    f"the Rouche disks of {z!r} and {other!r} meet"
+                )
+    zeros = [z for z, _ in disks]
     certified = count_zeros_disk(q, 0j, radius)
     if certified.count != len(zeros):
         raise CertificationError(
             f"disk count {certified.count} != {len(zeros)} refined zeros "
             f"inside |lambda| <= {radius}"
         )
-    zeros.sort(key=lambda z: (z.imag, z.real))
     return zeros

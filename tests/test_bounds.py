@@ -178,6 +178,18 @@ class TestEstimateCDelta:
         assert min(abs(z - complex(10.4843, -34.6197)) for z in zeros) < 1e-4
         assert min(abs(report.worst_point - z) for z in zeros) > delta
 
+    def test_large_k_band(self):
+        # the band's small-zero disk at k = 16 needs small_zeros to isolate
+        # its crowded boxes again; the worst point must clear every zero
+        k, delta, nu_hi = 16, 0.05, 21
+        report = estimate_c_delta(
+            Quasipolynomial(k, 1), h=1.0, r=1.0, delta=delta, nu_hi=nu_hi,
+            n=2000, seed=1,
+        )
+        assert report.passed and report.min_ratio > 0
+        zeros = lambert_w_zeros(k, 1, math.tau * nu_hi + 1.0)
+        assert min(abs(report.worst_point - z) for z in zeros) > delta
+
     def test_windowed_distances_match_the_full_matrix(self):
         rng = random.Random(3)
         # zeros in clusters of nearly equal Im, so windows hold several

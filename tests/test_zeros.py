@@ -8,6 +8,7 @@ import math
 import pytest
 
 from quasizero import (
+    CertificationError,
     DegenerateZeroError,
     DerivativeVanishedError,
     DivergedError,
@@ -24,6 +25,7 @@ from quasizero import (
     small_zeros,
     spacing_report,
 )
+from quasizero import zeros as zeros_mod
 from conftest import lambert_w_chain_zero, lambert_w_zeros
 
 Q11 = Quasipolynomial(1, 1)
@@ -244,18 +246,39 @@ class TestSmallZeros:
             zs = small_zeros(q, radius)
             assert len(zs) == count_zeros_disk(q, 0, radius).count
 
+    @staticmethod
+    def assert_match_lambert_w(k, a, radius):
+        zs = small_zeros(Quasipolynomial(k, a), radius)
+        ref = [z for z in lambert_w_zeros(k, a, radius) if abs(z) <= radius]
+        assert len(zs) == len(ref)
+        for z in zs:
+            nearest = min(ref, key=lambda w: abs(w - z))
+            assert abs(z - nearest) <= 1e-10 * max(1.0, abs(z))
+            ref.remove(nearest)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("a", [1, 0.5 - 2j, 3j])
     def test_zeros_match_lambert_w(self, k, a):
-        q = Quasipolynomial(k, a)
         for radius in (1.5, 8.0, 20.0):
-            zs = small_zeros(q, radius)
-            ref = [z for z in lambert_w_zeros(k, a, radius) if abs(z) <= radius]
-            assert len(zs) == len(ref)
-            for z in zs:
-                nearest = min(ref, key=lambda w: abs(w - z))
-                assert abs(z - nearest) <= 1e-10 * max(1.0, abs(z))
-                ref.remove(nearest)
+            self.assert_match_lambert_w(k, a, radius)
+
+    @pytest.mark.parametrize("k, radius", [(14, 2.0), (40, 3.3), (120, 4.1), (200, 6.0)])
+    def test_large_k_zeros_match_lambert_w(self, k, radius):
+        # the zeros near the origin sit closer than the first isolation
+        # boxes are wide, so Newton from a box centre can run to a
+        # neighbour: such boxes must be isolated again, not accepted
+        self.assert_match_lambert_w(k, 1, radius)
+
+    def test_meeting_disks_rejected(self, monkeypatch):
+        # every box "proves" the same zero: the disks meet before the count
+        monkeypatch.setattr(zeros_mod, "_box_zero", lambda q, box: (0.5j, 1e-3))
+        with pytest.raises(CertificationError, match="meet"):
+            small_zeros(Quasipolynomial(3, 1), 8.0)
+
+    def test_unproven_box_is_named(self, monkeypatch):
+        monkeypatch.setattr(zeros_mod, "_box_zero", lambda q, box: None)
+        with pytest.raises(CertificationError, match="isolation box Rect"):
+            small_zeros(Q11, 2.0)
 
     def test_invalid_radius(self):
         with pytest.raises(InvalidQueryError):
