@@ -6,9 +6,9 @@ chain from asymptotic guesses, each refined zero proven by a Rouche disk that
 holds exactly one zero of its branch, counts zeros by the argument principle,
 and verifies the dominance bounds by seeded sampling.
 
-Only the sampled bounds need numpy, so quasizero.bounds and its six
-re-exported names load on first access (PEP 562): importing the package
-for zeros, counts or regions leaves numpy unloaded.  The command line
+Only the sampled bounds need numpy, so quasizero.bounds and the four names
+served from it load on first access (PEP 562): importing the package for
+zeros, counts, regions or band cells leaves numpy unloaded.  The command line
 still loads it.
 """
 
@@ -51,6 +51,7 @@ from .oracle import (
     isolate_zeros,
 )
 from .regions import (
+    QuadrangleGeom,
     RegionKind,
     RegionLabel,
     classify,
@@ -59,6 +60,7 @@ from .regions import (
     half_plane,
     min_h_t1,
     min_h_t2,
+    quadrangle,
     sector_radius,
 )
 from .zeros import (
@@ -79,9 +81,7 @@ __version__ = "0.1.0"
 _BOUNDS_NAMES = frozenset(
     {
         "BoundReport",
-        "QuadrangleGeom",
         "estimate_c_delta",
-        "quadrangle",
         "verify_eq3",
         "verify_eq4",
     }

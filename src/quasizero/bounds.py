@@ -1,4 +1,4 @@
-"""Sampled verification of the lower bounds and band geometry.
+"""Sampled verification of the lower bounds.
 
 Three Monte Carlo checks, all driven by a counter-based (Philox) generator so
 that identical seeds reproduce reports bit for bit:
@@ -22,9 +22,14 @@ complex log and exp, so every ratio equals the full evaluation bit for bit.
 The sampler works out ln(x^2 + y^2) once per drawn point, for its region
 test, and a saturated sample is judged from the sigma_1 its draw computed.
 
-The quadrangle helper cuts the band into cells by horizontal lines placed
-pi + k*pi/2 + arg(a) below consecutive refined zeros; each cell contains
-exactly one chain zero and its diagonal approaches sqrt(4*pi^2 + 4*h^2).
+The sampler yields the accepted points in blocks of at most _BLOCK, and each
+report folds every block into a running minimum as it arrives, so memory is
+O(_BLOCK), not O(n).  The worst point is the first minimum in draw order,
+the one np.argmin would pick over all n ratios at once.
+
+The band cell geometry (quadrangle, QuadrangleGeom, _cut_offset) is defined
+in quasizero.regions and the band's zero set (_collect_band_zeros, _min_gap)
+in quasizero.zeros, neither of which needs numpy; both are re-exported here.
 """
 
 from __future__ import annotations
@@ -32,22 +37,32 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import Quasipolynomial
 from .errors import (
-    BoundaryZeroError,
     DeltaTooLargeError,
-    DepthExceededError,
     EmptyRegionError,
     EmptySampleError,
     InvalidIndexError,
     InvalidQueryError,
 )
-from .regions import gamma_abscissa, min_h_t1, min_h_t2
-from .zeros import enumerate_zeros, nu_min, small_zeros
+from .regions import (  # noqa: F401  (QuadrangleGeom, quadrangle, _cut_offset re-exported)
+    QuadrangleGeom,
+    _check_band_holds_curve,
+    _cut_offset,
+    min_h_t1,
+    min_h_t2,
+    quadrangle,
+)
+from .zeros import (  # noqa: F401  (SMALL_DISK_MARGIN re-exported)
+    SMALL_DISK_MARGIN,
+    _collect_band_zeros,
+    _min_gap,
+    nu_min,
+)
 
 #: sampled lower-bound threshold shared by eq3 and eq4
 HALF_THRESHOLD = 0.5
@@ -58,7 +73,12 @@ MAX_CONSECUTIVE_REJECTS = 100_000
 #: default half-width of the sampling window around the origin
 DEFAULT_WINDOW = 1000.0
 
+#: points drawn per call of the generator, for xs and then for ys
 _CHUNK = 8192
+
+#: accepted points per yielded block; at least _CHUNK, so one chunk's hits
+#: always fit in an emptied block
+_BLOCK = 1 << 16
 
 #: Re u below which |1 + e^u| is exactly 1.0: e^-42 < 2^-60, so the real part
 #: 1 + Re e^u rounds to 1, the imaginary part vanishes inside abs, and abs
@@ -68,19 +88,15 @@ _SATURATED_U = -42.0
 #: smallest normal float; below it x^2 + y^2 loses relative precision
 _RR_NORMAL = sys.float_info.min
 
-#: the small-zero disk of estimate_c_delta ends this far inside the outer
-#: chain zero of index +-nu_min, and moves inward by as much per retry
-SMALL_DISK_MARGIN = 0.5
-
 
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one sampled inequality check.
 
-    min_ratio is the batched ratio at worst_point, the sample where it is
-    smallest.  analytic_floor is only set for eq3 (the sharper provable bound
-    1 - e^(-h)/|a|); stability_ratio only for eq7 (doubled-sample estimate
-    divided by min_ratio).
+    min_ratio is the batched ratio at worst_point, the first sample in draw
+    order where it is smallest.  analytic_floor is only set for eq3 (the
+    sharper provable bound 1 - e^(-h)/|a|); stability_ratio only for eq7
+    (doubled-sample estimate divided by min_ratio).
     """
 
     inequality_id: str
@@ -92,15 +108,6 @@ class BoundReport:
     seed: int
     analytic_floor: float | None = None
     stability_ratio: float | None = None
-
-
-@dataclass(frozen=True)
-class QuadrangleGeom:
-    """One band cell: counterclockwise corners and the longest diagonal."""
-
-    nu: int
-    corners: tuple[complex, complex, complex, complex]
-    diag: float
 
 
 def _check_finite(**values: float) -> None:
@@ -117,16 +124,6 @@ def _check_positive(**values: float) -> None:
             raise InvalidQueryError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _check_band_holds_curve(q: Quasipolynomial, h: float) -> None:
-    """Reject a band half-width h that is not finite or leaves the zero curve out."""
-    _check_finite(h=h)
-    if not h > abs(q.log_abs_a):
-        raise InvalidQueryError(
-            f"band must contain the zero curve: need h > |ln|a|| = "
-            f"{abs(q.log_abs_a):.6g}, got h = {h!r}"
-        )
-
-
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct streams never share draws."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)])
@@ -140,27 +137,32 @@ def _rejection_sample(
     accept: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     n: int,
     what: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """n accepted points (complex array) drawn uniformly from the hull box.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield n accepted points, drawn uniformly from the hull box, in blocks.
 
-    Each draw's rr = x^2 + y^2 and half_log = (k/2) ln rr are computed once,
-    for accept(xs, ys, rr, half_log); each accepted point's sigma_1 =
-    x - half_log is returned beside it, nan where rr is not a normal float.
+    Each block is (lam, sig1): at most _BLOCK points (complex) in draw order
+    and each one's sigma_1 = x - half_log, nan where rr is not a normal
+    float.  Both are views into one buffer that the next block overwrites,
+    so a caller must be done with a block before asking for the next.  Each
+    draw's rr = x^2 + y^2 and half_log = (k/2) ln rr are computed once, for
+    accept(xs, ys, rr, half_log).  Memory is O(_BLOCK), whatever n is.
     """
     x_lo, x_hi, y_lo, y_hi = hull
     if not (x_lo < x_hi and y_lo < y_hi):
         raise EmptyRegionError(f"degenerate sampling hull for {what}")
-    lam = np.empty(n, dtype=complex)
-    sig1 = np.empty(n)
-    taken = 0
+    size = min(n, _BLOCK)
+    lam = np.empty(size, dtype=complex)
+    sig1 = np.empty(size)
+    fill = 0
+    left = n
     consecutive_rejects = 0
-    while taken < n:
+    while left > 0:
         xs = rng.uniform(x_lo, x_hi, _CHUNK)
         ys = rng.uniform(y_lo, y_hi, _CHUNK)
         with np.errstate(all="ignore"):
             rr = xs * xs + ys * ys
             half_log = 0.5 * k * np.log(rr)
-        hits = np.flatnonzero(accept(xs, ys, rr, half_log))[: n - taken]
+        hits = np.flatnonzero(accept(xs, ys, rr, half_log))[:left]
         if hits.size == 0:
             consecutive_rejects += _CHUNK
             if consecutive_rejects >= MAX_CONSECUTIVE_REJECTS:
@@ -169,13 +171,17 @@ def _rejection_sample(
                 )
             continue
         consecutive_rejects = 0
-        got = slice(taken, taken + hits.size)
+        if fill + hits.size > size:
+            yield lam[:fill], sig1[:fill]
+            fill = 0
+        got = slice(fill, fill + hits.size)
         lam.real[got] = xs[hits]
         lam.imag[got] = ys[hits]
         trusted = (rr[hits] >= _RR_NORMAL) & (rr[hits] < math.inf)
         sig1[got] = np.where(trusted, xs[hits] - half_log[hits], math.nan)
-        taken += hits.size
-    return lam, sig1
+        fill += hits.size
+        left -= hits.size
+    yield lam[:fill], sig1[:fill]
 
 
 def _saturated(q: Quasipolynomial, sig1: np.ndarray, alg: bool) -> np.ndarray:
@@ -220,22 +226,40 @@ def _ratio_batch(
     return ratios
 
 
+def _min_ratio(
+    q: Quasipolynomial, blocks: Iterator[tuple[np.ndarray, np.ndarray]], alg: bool
+) -> tuple[float, complex]:
+    """(smallest ratio, first point where it occurs) over the sampled blocks.
+
+    A block's minimum replaces the running one only when strictly smaller,
+    which keeps np.argmin's first-occurrence rule across blocks.  No ratio
+    is nan: every sampled point has |lambda| > R > 0 and is finite, so its
+    logs are finite and the clipped exponent is too.
+    """
+    best, worst = math.inf, complex(math.nan, math.nan)
+    for lam, sig1 in blocks:
+        ratios = _ratio_batch(q, lam, sig1, alg)
+        i = int(np.argmin(ratios))
+        if ratios[i] < best:
+            best, worst = float(ratios[i]), complex(lam[i])
+    return best, worst
+
+
 def _finish_report(
     inequality_id: str,
-    lam: np.ndarray,
-    ratios: np.ndarray,
+    n: int,
+    minimum: tuple[float, complex],
     threshold: float,
     seed: int,
     **extra: float | None,
 ) -> BoundReport:
-    i = int(np.argmin(ratios))
-    min_ratio = float(ratios[i])
+    min_ratio, worst = minimum
     return BoundReport(
         inequality_id=inequality_id,
-        samples=int(lam.size),
+        samples=n,
         min_ratio=min_ratio,
         threshold=threshold,
-        worst_point=complex(lam[i]),
+        worst_point=worst,
         passed=min_ratio >= threshold if threshold > 0 else min_ratio > 0,
         seed=seed,
         **extra,
@@ -246,8 +270,8 @@ def _sample_tail(
     q: Quasipolynomial, h: float, r: float, n: int, seed: int, window: float,
     need: str, threshold_h: float, region: str,
     in_tail: Callable[[np.ndarray, np.ndarray], np.ndarray], alg: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Points and ratios of the eq3 or eq4 check within R < |lambda| <= window.
+) -> tuple[float, complex]:
+    """Smallest ratio and its point for the eq3 or eq4 check within R < |lambda| <= window.
 
     need names the bound h must exceed ("eq3 needs h > ln(2/|a|)"),
     threshold_h is its value, and in_tail(xs, half_log) tests the region
@@ -269,8 +293,8 @@ def _sample_tail(
         return (rr <= w2) & (rr > r2) & in_tail(xs, half_log)
 
     hull = (-window, window, -window, window)
-    lam, sig1 = _rejection_sample(_philox(seed), hull, q.k, accept, n, region)
-    return lam, _ratio_batch(q, lam, sig1, alg)
+    blocks = _rejection_sample(_philox(seed), hull, q.k, accept, n, region)
+    return _min_ratio(q, blocks, alg)
 
 
 def verify_eq3(
@@ -286,12 +310,12 @@ def verify_eq3(
     Requires h > ln(2/|a|) so the bound is provable; the report also carries
     the sharper analytic floor 1 - e^(-h)/|a|.
     """
-    lam, ratios = _sample_tail(
+    minimum = _sample_tail(
         q, h, r, n, seed, window, "eq3 needs h > ln(2/|a|)", min_h_t1(q), "T1",
         lambda xs, half_log: xs - half_log < -h, alg=True,
     )
     floor = 1.0 - math.exp(-h) / abs(q.a)
-    return _finish_report("eq3", lam, ratios, HALF_THRESHOLD, seed, analytic_floor=floor)
+    return _finish_report("eq3", n, minimum, HALF_THRESHOLD, seed, analytic_floor=floor)
 
 
 def verify_eq4(
@@ -310,7 +334,7 @@ def verify_eq4(
     contains the large zeros, so the inequality genuinely fails there) and
     its report should be read, not asserted.
     """
-    lam, ratios = _sample_tail(
+    minimum = _sample_tail(
         q, h, r, n, seed, window, "eq4 needs h > ln(2|a|)", min_h_t2(q),
         "sigma_2 > h" if printed_set else "sigma_1 > h",
         (lambda xs, half_log: xs + half_log > h) if printed_set
@@ -318,52 +342,7 @@ def verify_eq4(
         alg=False,
     )
     ident = "eq4-printed" if printed_set else "eq4"
-    return _finish_report(ident, lam, ratios, HALF_THRESHOLD, seed)
-
-
-def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
-    """Refined zeros covering the band up to |Im| = 2*pi*nu_hi.
-
-    Chain indices |nu| in [nu_min, nu_hi] come from the enumerator; whatever
-    lives below the chain is picked up by certified small-zero isolation on
-    a disk that ends just inside the farther of the two chain zeros of index
-    +-nu_min, nudged inward until its boundary is clear of zeros.  Chain
-    zeros inside that disk are dropped as duplicates.
-    """
-    records = enumerate_zeros(q, -nu_hi, nu_hi)
-    zeros = [rec.refined for rec in records]
-    # The zeros below the chain lie about one period inside this radius.  The
-    # nearer of the two +-nu_min zeros gives no such margin: when A is close
-    # to the negative real axis its modulus exceeds that of the zero of index
-    # -+(nu_min - 1) by less than 0.05.
-    outer = max(abs(rec.refined) for rec in records if abs(rec.nu) == nu_min(q))
-    for bump in range(1, 9):
-        try:
-            small = small_zeros(q, outer - SMALL_DISK_MARGIN * bump)
-            break
-        except (BoundaryZeroError, DepthExceededError):
-            if bump == 8:
-                raise
-    for z in small:
-        if all(abs(z - existing) > 1e-6 for existing in zeros):
-            zeros.append(z)
-    return zeros
-
-
-def _min_gap(zeros: list[complex]) -> float:
-    """Smallest distance between two of the zeros, which are sorted by Im.
-
-    Compares neighbours at offset 1, 2, ... in that order and stops at the
-    first offset whose smallest Im gap is already no less than the best
-    distance, since every later offset has larger Im gaps.
-    """
-    best = math.inf
-    for off in range(1, len(zeros)):
-        pairs = list(zip(zeros, zeros[off:]))
-        if min(b.imag - a.imag for a, b in pairs) >= best:
-            break
-        best = min(best, min(abs(a - b) for a, b in pairs))
-    return best
+    return _finish_report(ident, n, minimum, HALF_THRESHOLD, seed)
 
 
 def _clear_of(lam: np.ndarray, zs: np.ndarray, delta: float) -> np.ndarray:
@@ -431,64 +410,16 @@ def estimate_c_delta(
 
     hull = (x_lo, x_hi, -y_max, y_max)
 
-    def run(stream: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        lam, sig1 = _rejection_sample(
+    def run(stream: int, count: int) -> tuple[float, complex]:
+        blocks = _rejection_sample(
             _philox(seed, stream), hull, q.k, accept, count, "punctured band"
         )
-        return lam, _ratio_batch(q, lam, sig1, alg=True)
+        return _min_ratio(q, blocks, alg=True)
 
-    lam, ratios = run(0, n)
-    _, ratios2 = run(1, 2 * n)
-    first = float(ratios.min())
+    minimum = run(0, n)
+    second, _ = run(1, 2 * n)
+    first = minimum[0]
     return _finish_report(
-        "eq7", lam, ratios, 0.0, seed,
-        stability_ratio=float(ratios2.min()) / first if first > 0 else None,
+        "eq7", n, minimum, 0.0, seed,
+        stability_ratio=second / first if first > 0 else None,
     )
-
-
-def _cut_offset(q: Quasipolynomial) -> float:
-    """Vertical distance from a chain zero down to its cut line.
-
-    The raw offset pi + k*pi/2 + arg(a) can exceed one 2*pi period (for
-    example k = 2 with arg(a) = pi/4 gives 2.25*pi); reduced into (0, 2*pi],
-    the strip between consecutive cut lines is exactly one period tall and
-    brackets its own zero.
-    """
-    raw = math.pi + q.k * math.pi / 2.0 + q.arg_a
-    reduced = raw - math.tau * math.floor(raw / math.tau)
-    return reduced if reduced > 0.0 else math.tau
-
-
-def quadrangle(q: Quasipolynomial, nu: int, h: float) -> QuadrangleGeom:
-    """The band cell containing the chain zero of index nu.
-
-    Horizontal cut lines sit pi + k*pi/2 + arg(a), reduced into (0, 2*pi],
-    below the chain zeros of indices nu and nu + 1 from enumerate_zeros
-    (mirrored through conjugation for nu < 0); the four corners solve
-    sigma_1 = -h and sigma_1 = +h on those lines, ordered counterclockwise
-    from the bottom-left.  diag is the longest diagonal, which approaches
-    sqrt(4*pi^2 + 4*h^2) as |nu| grows.
-    """
-    if not isinstance(nu, int) or isinstance(nu, bool):
-        raise InvalidIndexError(f"nu must be an integer, got {nu!r}")
-    if abs(nu) < nu_min(q):
-        raise InvalidIndexError(f"|nu| must be >= nu_min = {nu_min(q)}, got {nu}")
-    _check_band_holds_curve(q, h)
-    if nu < 0:
-        mirrored = quadrangle(q.conjugate(), -nu, h)
-        corners = tuple(c.conjugate() for c in reversed(mirrored.corners))
-        return QuadrangleGeom(nu=nu, corners=corners, diag=mirrored.diag)
-
-    z_lo, z_hi = (rec.refined for rec in enumerate_zeros(q, nu, nu + 1))
-    offset = _cut_offset(q)
-    y_lo = z_lo.imag - offset
-    y_hi = z_hi.imag - offset
-    bl = complex(gamma_abscissa(q, 1, -h, y_lo), y_lo)
-    br = complex(gamma_abscissa(q, 1, h, y_lo), y_lo)
-    tr = complex(gamma_abscissa(q, 1, h, y_hi), y_hi)
-    tl = complex(gamma_abscissa(q, 1, -h, y_hi), y_hi)
-    corners = (bl, br, tr, tl)
-    diag = max(
-        abs(p - s) for i, p in enumerate(corners) for s in corners[i + 1 :]
-    )
-    return QuadrangleGeom(nu=nu, corners=corners, diag=diag)

@@ -12,8 +12,8 @@ in shortest round-trip decimal, wall-clock timings are included only when
 unmeasured), and the sampling generator is counter-based.  The environment
 variable QUASIZERO_SEED, when set, overrides ``--seed``.
 
-Exit status: 0 on success, 1 when a requested check fails or a numeric
-routine gives up, 2 for invalid arguments.
+Exit status: 0 on success, 1 when a requested check fails, a numeric
+routine gives up or the reader closes stdout early, 2 for invalid arguments.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     ZeroArgumentError,
 )
 from .oracle import DEFAULT_MAX_DEPTH, Rect, count_zeros_disk, count_zeros_rect
-from .regions import gamma_polyline, min_h_t1, min_h_t2, sector_radius
+from .regions import gamma_polyline, min_h_t1, min_h_t2, quadrangle, sector_radius
 from .zeros import enumerate_zeros, nu_min, spacing_report
 
 SCHEMA_VERSION = 2
@@ -470,7 +470,7 @@ def cmd_geometry(args) -> int:
 
     if args.nu is None or args.h is None:
         raise InvalidQueryError("--quadrangle needs --nu and --h")
-    geom = bounds_mod.quadrangle(q, args.nu, args.h)
+    geom = quadrangle(q, args.nu, args.h)
     elapsed = time.perf_counter() - t0
     diag_limit = math.sqrt(4.0 * math.pi**2 + 4.0 * args.h**2)
     if args.format == "json":
@@ -499,7 +499,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (for example `| head`).  As the SIGPIPE
+        # note of the signal module's docs advises, point stdout at devnull
+        # so the flush at interpreter exit cannot raise again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

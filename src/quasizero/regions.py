@@ -10,6 +10,10 @@ ln|lambda| splits the exterior of a disk of radius R into three pieces:
 The j flag tags the half plane: j = 1 for Im(lambda) < 0 and j = 2 otherwise
 (points on the real axis are assigned j = 2).  All zeros live on the S = 1
 level set sigma_1 = ln|a| inside the band once h > |ln|a||.
+
+quadrangle cuts the S = 1 band into cells by horizontal lines placed
+pi + k*pi/2 + arg(a) below consecutive refined zeros; each cell contains
+exactly one chain zero and its diagonal approaches sqrt(4*pi^2 + 4*h^2).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Quasipolynomial, sigma
-from .errors import InvalidQueryError, NoSolutionError
+from .errors import InvalidIndexError, InvalidQueryError, NoSolutionError
+from .zeros import enumerate_zeros, nu_min
 
 #: residual tolerance for points returned by the band-edge solver
 GAMMA_RESIDUAL_TOL = 1e-10
@@ -41,6 +46,15 @@ class RegionLabel:
 
     kind: RegionKind
     j: int
+
+
+@dataclass(frozen=True)
+class QuadrangleGeom:
+    """One band cell: counterclockwise corners and the longest diagonal."""
+
+    nu: int
+    corners: tuple[complex, complex, complex, complex]
+    diag: float
 
 
 def half_plane(lam: complex) -> int:
@@ -87,6 +101,17 @@ def min_h_t1(q: Quasipolynomial) -> float:
 def min_h_t2(q: Quasipolynomial) -> float:
     """Threshold ln(2|a|) for the sigma_1 > h far field (e^lambda dominates)."""
     return math.log(2.0 * abs(q.a))
+
+
+def _check_band_holds_curve(q: Quasipolynomial, h: float) -> None:
+    """Reject a band half-width h that is not finite or leaves the zero curve out."""
+    if not math.isfinite(h):
+        raise InvalidQueryError(f"h must be finite, got {h!r}")
+    if not h > abs(q.log_abs_a):
+        raise InvalidQueryError(
+            f"band must contain the zero curve: need h > |ln|a|| = "
+            f"{abs(q.log_abs_a):.6g}, got h = {h!r}"
+        )
 
 
 def sector_radius(q: Quasipolynomial, s: int, h: float, delta: float) -> float:
@@ -262,3 +287,51 @@ def gamma_polyline(
         y = im_lo + (im_hi - im_lo) * i / (n - 1)
         points.append(complex(gamma_abscissa(q, s, h, y), y))
     return points
+
+
+def _cut_offset(q: Quasipolynomial) -> float:
+    """Vertical distance from a chain zero down to its cut line.
+
+    The raw offset pi + k*pi/2 + arg(a) can exceed one 2*pi period (for
+    example k = 2 with arg(a) = pi/4 gives 2.25*pi); reduced into (0, 2*pi],
+    the strip between consecutive cut lines is exactly one period tall and
+    brackets its own zero.
+    """
+    raw = math.pi + q.k * math.pi / 2.0 + q.arg_a
+    reduced = raw - math.tau * math.floor(raw / math.tau)
+    return reduced if reduced > 0.0 else math.tau
+
+
+def quadrangle(q: Quasipolynomial, nu: int, h: float) -> QuadrangleGeom:
+    """The band cell containing the chain zero of index nu.
+
+    Horizontal cut lines sit pi + k*pi/2 + arg(a), reduced into (0, 2*pi],
+    below the chain zeros of indices nu and nu + 1 from enumerate_zeros
+    (mirrored through conjugation for nu < 0); the four corners solve
+    sigma_1 = -h and sigma_1 = +h on those lines, ordered counterclockwise
+    from the bottom-left.  diag is the longest diagonal, which approaches
+    sqrt(4*pi^2 + 4*h^2) as |nu| grows.
+    """
+    if not isinstance(nu, int) or isinstance(nu, bool):
+        raise InvalidIndexError(f"nu must be an integer, got {nu!r}")
+    if abs(nu) < nu_min(q):
+        raise InvalidIndexError(f"|nu| must be >= nu_min = {nu_min(q)}, got {nu}")
+    _check_band_holds_curve(q, h)
+    if nu < 0:
+        mirrored = quadrangle(q.conjugate(), -nu, h)
+        corners = tuple(c.conjugate() for c in reversed(mirrored.corners))
+        return QuadrangleGeom(nu=nu, corners=corners, diag=mirrored.diag)
+
+    z_lo, z_hi = (rec.refined for rec in enumerate_zeros(q, nu, nu + 1))
+    offset = _cut_offset(q)
+    y_lo = z_lo.imag - offset
+    y_hi = z_hi.imag - offset
+    bl = complex(gamma_abscissa(q, 1, -h, y_lo), y_lo)
+    br = complex(gamma_abscissa(q, 1, h, y_lo), y_lo)
+    tr = complex(gamma_abscissa(q, 1, h, y_hi), y_hi)
+    tl = complex(gamma_abscissa(q, 1, -h, y_hi), y_hi)
+    corners = (bl, br, tr, tl)
+    diag = max(
+        abs(p - s) for i, p in enumerate(corners) for s in corners[i + 1 :]
+    )
+    return QuadrangleGeom(nu=nu, corners=corners, diag=diag)

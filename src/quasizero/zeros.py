@@ -24,6 +24,10 @@ small_zeros box centres and user seeds).  A free zero may lie on the branch
 cut of Log, where no single branch equation holds along the iteration, so it
 keeps the z-form with a trust disk around the seed.  small_zeros keeps its
 result only when a Rouche disk on f around it lies inside the seed's box.
+
+_collect_band_zeros joins the chain and the small zeros below it into the
+band's zero set, which the punctured-band floor of quasizero.bounds samples
+around.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from dataclasses import dataclass
 
 from .core import Quasipolynomial, _dominant, _require_finite, relative_magnitude
 from .errors import (
+    BoundaryZeroError,
     CertificationError,
     DegenerateZeroError,
+    DepthExceededError,
     DerivativeVanishedError,
     DivergedError,
     DuplicateZeroError,
@@ -89,6 +95,10 @@ _BRANCH_STEP_TOL = 1e-10
 #: k*|Log lambda| + 2*pi, and |lambda| >= 2*pi*|nu| >= 2*pi*max(5, k) covers
 #: 2u*k and the constant terms.  The total is below 7u per unit; 8u is taken.
 _ROUCHE_ERR = 2.0**-50
+
+#: the small-zero disk of _collect_band_zeros ends this far inside the outer
+#: chain zero of index +-nu_min, and moves inward by as much per retry
+SMALL_DISK_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -485,3 +495,48 @@ def small_zeros(q: Quasipolynomial, radius: float) -> list[complex]:
             f"inside |lambda| <= {radius}"
         )
     return zeros
+
+
+def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
+    """Refined zeros covering the band up to |Im| = 2*pi*nu_hi.
+
+    Chain indices |nu| in [nu_min, nu_hi] come from the enumerator; whatever
+    lives below the chain is picked up by certified small-zero isolation on
+    a disk that ends just inside the farther of the two chain zeros of index
+    +-nu_min, nudged inward until its boundary is clear of zeros.  Chain
+    zeros inside that disk are dropped as duplicates.
+    """
+    records = enumerate_zeros(q, -nu_hi, nu_hi)
+    zeros = [rec.refined for rec in records]
+    # The zeros below the chain lie about one period inside this radius.  The
+    # nearer of the two +-nu_min zeros gives no such margin: when A is close
+    # to the negative real axis its modulus exceeds that of the zero of index
+    # -+(nu_min - 1) by less than 0.05.
+    outer = max(abs(rec.refined) for rec in records if abs(rec.nu) == nu_min(q))
+    for bump in range(1, 9):
+        try:
+            small = small_zeros(q, outer - SMALL_DISK_MARGIN * bump)
+            break
+        except (BoundaryZeroError, DepthExceededError):
+            if bump == 8:
+                raise
+    for z in small:
+        if all(abs(z - existing) > 1e-6 for existing in zeros):
+            zeros.append(z)
+    return zeros
+
+
+def _min_gap(zeros: list[complex]) -> float:
+    """Smallest distance between two of the zeros, which are sorted by Im.
+
+    Compares neighbours at offset 1, 2, ... in that order and stops at the
+    first offset whose smallest Im gap is already no less than the best
+    distance, since every later offset has larger Im gaps.
+    """
+    best = math.inf
+    for off in range(1, len(zeros)):
+        pairs = list(zip(zeros, zeros[off:]))
+        if min(b.imag - a.imag for a, b in pairs) >= best:
+            break
+        best = min(best, min(abs(a - b) for a, b in pairs))
+    return best

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,14 +335,48 @@ class TestBatchedRatioKernel:
             assert not skipped[sign * re_u > -41.9].any()
 
 
-def _with_reference_sampler_and_kernels(call):
-    """call() once as is and once on the replaced sampler and kernels."""
-    ours = call()
+def _drawn(blocks):
+    """Concatenate the sampler's blocks, copying each before the next
+    overwrites the buffer it views."""
+    lam, sig1 = zip(*[(lam.copy(), sig1.copy()) for lam, sig1 in blocks])
+    return np.concatenate(lam), np.concatenate(sig1)
+
+
+def _ours_and_reference(call):
+    """call()'s report, and the report recomputed from the same draws by
+    the whole-array reference sampler, the separate kernels and np.argmin.
+
+    The sampler's arguments (generator, hull, region test, n) and the ratio
+    kind of each sampled stream are recorded as call() runs; the reference
+    draws from a copy of the generator.
+    """
+    draws, kernels = [], []
+    sample, reduce = bounds._rejection_sample, bounds._min_ratio
+
+    def record_sample(rng, *args):
+        draws.append(_reference_rejection_sample(copy.deepcopy(rng), *args)[0])
+        return sample(rng, *args)
+
+    def record_reduce(q, blocks, alg):
+        kernels.append((_reference_ratio_alg_batch if alg else _reference_ratio_exp_batch, q))
+        return reduce(q, blocks, alg)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "_rejection_sample", _reference_rejection_sample)
-        mp.setattr(bounds, "_ratio_batch", lambda q, lam, sig1, alg: (
-            _reference_ratio_alg_batch if alg else _reference_ratio_exp_batch)(q, lam))
-        theirs = call()
+        mp.setattr(bounds, "_rejection_sample", record_sample)
+        mp.setattr(bounds, "_min_ratio", record_reduce)
+        ours = call()
+    ratios = [kernel(q, lam) for lam, (kernel, q) in zip(draws, kernels)]
+    i = int(np.argmin(ratios[0]))
+    min_ratio = float(ratios[0][i])
+    theirs = dataclasses.replace(
+        ours, samples=int(draws[0].size), min_ratio=min_ratio,
+        worst_point=complex(draws[0][i]),
+        passed=min_ratio >= ours.threshold if ours.threshold > 0 else min_ratio > 0,
+    )
+    if len(ratios) == 2:  # eq7's doubled-sample stream
+        theirs = dataclasses.replace(
+            theirs, stability_ratio=float(ratios[1].min()) / min_ratio
+        )
     return ours, theirs
 
 
@@ -362,9 +399,15 @@ class TestReportsMatchTheReference:
                            n=20_000, seed=5, printed_set=True),
         # every draw has a subnormal x^2 + y^2, so no sample may be skipped
         lambda: verify_eq4(Q11, h=1.0, r=1e-162, n=1000, seed=1, window=1e-160),
+        # several blocks each; at h = 45 every ratio is exactly 1.0, so the
+        # worst point must be the very first draw
+        lambda: verify_eq3(Q11, h=45.0, r=1.0, n=200_000, seed=11),
+        lambda: verify_eq4(Quasipolynomial(2, 0.5 - 1j), h=2.0, r=1.0, n=300_000, seed=12),
+        lambda: estimate_c_delta(Quasipolynomial(2, 0.8 - 0.6j), h=1.5, r=1.0, delta=0.1,
+                                 nu_hi=200, n=150_000, seed=13),
     ])
     def test_identical_reports(self, call):
-        ours, theirs = _with_reference_sampler_and_kernels(call)
+        ours, theirs = _ours_and_reference(call)
         assert ours == theirs
         assert repr(ours) == repr(theirs)
 
@@ -372,6 +415,7 @@ class TestReportsMatchTheReference:
         (100, 0.0),  # the first chunk alone has more hits than needed
         (5_000, 0.0),  # the second chunk's hits are cut
         (20, 0.9996),  # about 1.6 hits per chunk, some chunks have none
+        (150_000, 0.0),  # three blocks, the first two cut short of _BLOCK
     ])
     def test_sampler_matches(self, n, threshold):
         def accept(xs, ys, rr, half_log):
@@ -380,7 +424,9 @@ class TestReportsMatchTheReference:
         def draw(sampler):
             return sampler(bounds._philox(31), (-1.0, 1.0, -1.0, 1.0), 3, accept, n, "cap")
 
-        ours, our_sig = draw(bounds._rejection_sample)
+        sizes = [lam.size for lam, _ in draw(bounds._rejection_sample)]
+        assert max(sizes) <= bounds._BLOCK and sum(sizes) == n
+        ours, our_sig = _drawn(draw(bounds._rejection_sample))
         theirs, their_sig = draw(_reference_rejection_sample)
         assert ours.shape == (n,)
         assert np.array_equal(ours, theirs)
@@ -401,7 +447,7 @@ class TestReportsMatchTheReference:
             hull = (-side, side, -side, side)
             return sampler(bounds._philox(2), hull, 2, accept, 1000, "square")
 
-        _, sig1 = draw(bounds._rejection_sample)
+        _, sig1 = _drawn(draw(bounds._rejection_sample))
         _, their_sig = draw(_reference_rejection_sample)
         assert np.array_equal(sig1, their_sig, equal_nan=True)
         assert np.isnan(sig1).mean() == pytest.approx(1.0 - normal, abs=0.01)
@@ -413,11 +459,44 @@ class TestReportsMatchTheReference:
             return np.zeros(xs.shape, dtype=bool)
 
         messages = []
-        for sampler in (bounds._rejection_sample, _reference_rejection_sample):
+        for sampler in (lambda *args: _drawn(bounds._rejection_sample(*args)),
+                        _reference_rejection_sample):
             with pytest.raises(EmptyRegionError) as err:
                 sampler(bounds._philox(1), (0.0, 1.0, 0.0, 1.0), 1, never, 10, "nothing")
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def _traced_peak(call):
+    """Peak bytes traced by tracemalloc while call() runs."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestSamplerMemory:
+    """The samplers fold each block of points into a running minimum, so
+    their memory does not grow with n."""
+
+    @pytest.mark.parametrize("check", [
+        lambda n: verify_eq3(Q11, h=1.5, r=1.0, n=n, seed=1),
+        lambda n: verify_eq4(Q11, h=1.5, r=1.0, n=n, seed=1),
+        lambda n: estimate_c_delta(Q11, h=2.0, r=1.0, delta=0.3, nu_hi=30, n=n, seed=1),
+    ], ids=["eq3", "eq4", "eq7"])
+    def test_peak_does_not_grow_with_n(self, check):
+        check(100)  # first-call imports and caches are not the sampler's
+        small = _traced_peak(lambda: check(10_000))
+        large = _traced_peak(lambda: check(1_000_000))
+        # the whole-array sampler traced 35 MB (eq3, eq4) and 154 MB (eq7) at n = 10^6
+        assert large < 8e6
+        assert large < 6 * small
 
 
 def _mpmath_ratio(q, lam, alg):

@@ -94,6 +94,26 @@ class TestZerosCommand:
             assert row["radius"] == records[row["nu"]].radius > 0
             assert "fixedpoint_iters" not in row
 
+    def test_reader_closing_early_exits_one_without_traceback(self):
+        # about 2,000 rows, far more than a pipe buffers, so the CLI is still
+        # writing when its reader closes after two lines, as `| head -2` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quasizero", "zeros", "--k", "1", "--a", "1",
+             "--nu", "5..2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        header, row = proc.stdout.readline(), proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == ""  # no traceback, and no error line either
+        assert header == "nu,guess_re,guess_im,zero_re,zero_im,residual,newton_iters\n"
+        rec = enumerate_zeros(Q11, 5, 5)[0]
+        assert row.rstrip("\n").split(",") == [
+            "5", repr(rec.guess.real), repr(rec.guess.imag), repr(rec.refined.real),
+            repr(rec.refined.imag), repr(rec.residual), str(rec.newton_iters),
+        ]
+
     def test_malformed_coefficient_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, ["zeros", "--k", "1", "--a", "banana", "--nu", "1..5"]

@@ -31,6 +31,33 @@ class TestLazyBounds:
             assert "quasizero.bounds" not in sys.modules, "quasizero.bounds"
         """))
 
+    def test_band_cells_need_no_numpy(self):
+        assert_ok(run_fresh("""
+            import sys
+            from quasizero import Quasipolynomial, QuadrangleGeom, quadrangle
+            from quasizero.zeros import _collect_band_zeros, _min_gap
+            geom = quadrangle(Quasipolynomial(1, 1), 5, 2.0)
+            assert isinstance(geom, QuadrangleGeom)
+            assert _min_gap(sorted(_collect_band_zeros(Quasipolynomial(1, 1), 6),
+                                   key=lambda z: z.imag)) > 0
+            assert "numpy" not in sys.modules, "numpy"
+        """))
+
+    def test_only_the_sampled_bounds_are_served_lazily(self):
+        assert quasizero._BOUNDS_NAMES == {
+            "BoundReport", "estimate_c_delta", "verify_eq3", "verify_eq4"
+        }
+
+    def test_moved_names_are_reexported_from_bounds(self):
+        from quasizero import bounds, regions, zeros
+
+        for name in ("quadrangle", "QuadrangleGeom", "_cut_offset"):
+            assert getattr(bounds, name) is getattr(regions, name), name
+        for name in ("_collect_band_zeros", "_min_gap", "SMALL_DISK_MARGIN"):
+            assert getattr(bounds, name) is getattr(zeros, name), name
+        assert quasizero.quadrangle is regions.quadrangle
+        assert quasizero.QuadrangleGeom is regions.QuadrangleGeom
+
     @pytest.mark.parametrize(
         "first_use",
         [
