@@ -6,11 +6,17 @@ JSON), ``count`` (argument-principle zero count on a rectangle or disk),
 ``geometry`` (polylines, quadrangles, diagonals and sector radii for the
 band).
 
+Each ``cmd_*`` takes the parsed arguments and the validated coefficient and
+returns its config, its results (the JSON ``results`` value, or the lines of
+a text format) and its exit status; ``main`` alone writes and times them.
+
 Output is deterministic byte for byte at a fixed seed: numbers are rendered
-in shortest round-trip decimal, wall-clock timings are included only when
-``--timings`` is passed (the JSON envelope always carries the key, null when
-unmeasured), and the sampling generator is counter-based.  The environment
-variable QUASIZERO_SEED, when set, overrides ``--seed``.
+in shortest round-trip decimal, and the sampling generator is counter-based.
+Wall-clock time, from the validated coefficient to the built results, is
+reported only under ``--timings``: as ``timings.elapsed_seconds`` in the JSON
+envelope (null otherwise), or as a last ``# elapsed_seconds`` line of a text
+format.  The environment variable QUASIZERO_SEED, when set, overrides
+``--seed``.
 
 Exit status: 0 on success, 1 when a requested check fails, a numeric
 routine gives up or the reader closes stdout early, 2 for invalid arguments.
@@ -24,7 +30,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import bounds as bounds_mod
 from .core import Quasipolynomial
@@ -62,35 +68,28 @@ def parse_complex(text: str) -> complex:
         ) from None
 
 
-def parse_int_range(text: str) -> tuple[int, int]:
-    """LO..HI with integer endpoints, LO <= HI."""
+def _parse_range(text: str, convert: Callable[[str], Any], kind: str) -> tuple[Any, Any]:
     lo_s, sep, hi_s = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
     try:
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = convert(lo_s), convert(hi_s)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"range endpoints must be integers, got {text!r}"
+            f"range endpoints must be {kind}, got {text!r}"
         ) from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def parse_int_range(text: str) -> tuple[int, int]:
+    """LO..HI with integer endpoints, LO <= HI."""
+    return _parse_range(text, int, "integers")
 
 
 def parse_float_range(text: str) -> tuple[float, float]:
-    lo_s, sep, hi_s = text.partition("..")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}")
-    try:
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"range endpoints must be numbers, got {text!r}"
-        ) from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+    return _parse_range(text, float, "numbers")
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -151,25 +150,6 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit_envelope(args, config: dict[str, Any], results: Any, elapsed: float) -> None:
-    """Write the JSON envelope; timings is null unless --timings was passed."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "config": config,
-        "results": results,
-        "timings": {"elapsed_seconds": elapsed} if args.timings else None,
-    }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _emit_elapsed(args, elapsed: float) -> None:
-    """The text formats' timing line, written only with --timings."""
-    if args.timings:
-        sys.stdout.write(f"# elapsed_seconds {elapsed}\n")
-
-
 def _c(z: complex) -> dict[str, float]:
     return {"re": z.real, "im": z.imag}
 
@@ -179,6 +159,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--a", type=parse_complex, required=True, help="coefficient, e.g. -2 or 0.5+0.5i"
     )
+    sub.add_argument("--timings", action="store_true", help="report the elapsed wall time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chain index range; indices below the enumeration floor are skipped",
     )
     p_zeros.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_zeros.add_argument("--timings", action="store_true")
     p_zeros.set_defaults(func=cmd_zeros)
 
     p_count = subs.add_parser("count", help="argument-principle zero count")
@@ -210,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p_count.add_argument("--format", choices=("text", "json"), default="text")
-    p_count.add_argument("--timings", action="store_true")
     p_count.set_defaults(func=cmd_count)
 
     p_bounds = subs.add_parser(
@@ -238,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--printed-set", action="store_true",
         help="eq4 only: sample sigma_2 > h instead (informational; contains zeros)",
     )
-    p_bounds.add_argument("--timings", action="store_true")
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=cmd_bounds, format="json")
 
     p_geo = subs.add_parser(
         "geometry", help="geometric summaries of the band and its cells"
@@ -266,26 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="imaginary range of the polyline (gamma)")
     p_geo.add_argument("--n", type=int, default=64, help="polyline point count (gamma)")
     p_geo.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_geo.add_argument("--timings", action="store_true")
     p_geo.set_defaults(func=cmd_geometry)
 
     return parser
 
 
-def cmd_zeros(args) -> int:
-    q = Quasipolynomial(args.k, args.a)
-    t0 = time.perf_counter()
+#: what a command returns: its config beyond k and a, its results (the JSON
+#: results value, or the lines of a text format) and its exit status
+_Output = tuple[dict[str, Any], Any, int]
+
+
+def cmd_zeros(args, q: Quasipolynomial) -> _Output:
     lo, hi = args.nu
     records = enumerate_zeros(q, lo, hi)
-    elapsed = time.perf_counter() - t0
-
     nus = [rec.nu for rec in records]
     spacing = None
     if len(records) >= 2 and max(nus) - min(nus) + 1 == len(nus):
         spacing = spacing_report(records)
+    config = {"nu_lo": lo, "nu_hi": hi}
 
     if args.format == "json":
-        results: dict[str, Any] = {
+        results = {
             "records": [
                 {
                     "nu": rec.nu,
@@ -297,108 +276,86 @@ def cmd_zeros(args) -> int:
                 }
                 for rec in records
             ],
-            "spacing": None,
-        }
-        if spacing is not None:
-            results["spacing"] = {
+            "spacing": None if spacing is None else {
                 "gaps": len(spacing.gaps),
                 "max_deviation_from_nu_10": spacing.max_deviation_from_nu_10,
                 "decay_ratio": spacing.decay_ratio,
-            }
-        _emit_envelope(
-            args, {"k": q.k, "a": _c(q.a), "nu_lo": lo, "nu_hi": hi}, results, elapsed
-        )
-        return 0
+            },
+        }
+        return config, results, 0
 
-    out = sys.stdout
-    out.write("nu,guess_re,guess_im,zero_re,zero_im,residual,newton_iters\n")
-    for rec in records:
-        out.write(
-            f"{rec.nu},{fmt(rec.guess.real)},{fmt(rec.guess.imag)},"
-            f"{fmt(rec.refined.real)},{fmt(rec.refined.imag)},"
-            f"{fmt(rec.residual)},{rec.newton_iters}\n"
-        )
+    lines = ["nu,guess_re,guess_im,zero_re,zero_im,residual,newton_iters"]
+    lines += [
+        f"{rec.nu},{fmt(rec.guess.real)},{fmt(rec.guess.imag)},"
+        f"{fmt(rec.refined.real)},{fmt(rec.refined.imag)},"
+        f"{fmt(rec.residual)},{rec.newton_iters}"
+        for rec in records
+    ]
     if not records:
-        out.write(f"# note no chain indices with |nu| >= {nu_min(q)} in range\n")
+        lines.append(f"# note no chain indices with |nu| >= {nu_min(q)} in range")
     if spacing is not None:
-        out.write(f"# spacing gaps {len(spacing.gaps)}\n")
+        lines.append(f"# spacing gaps {len(spacing.gaps)}")
         if spacing.max_deviation_from_nu_10 is not None:
-            out.write(
-                f"# spacing max_deviation_from_nu_10 "
-                f"{fmt(spacing.max_deviation_from_nu_10)}\n"
+            lines.append(
+                f"# spacing max_deviation_from_nu_10 {fmt(spacing.max_deviation_from_nu_10)}"
             )
         if spacing.decay_ratio is not None:
-            out.write(f"# spacing decay_ratio {fmt(spacing.decay_ratio)}\n")
-    _emit_elapsed(args, elapsed)
-    return 0
+            lines.append(f"# spacing decay_ratio {fmt(spacing.decay_ratio)}")
+    return config, lines, 0
 
 
-def cmd_count(args) -> int:
-    q = Quasipolynomial(args.k, args.a)
-    t0 = time.perf_counter()
+def cmd_count(args, q: Quasipolynomial) -> _Output:
     if args.rect is not None:
-        re_lo, re_hi, im_lo, im_hi = args.rect
-        result = count_zeros_rect(
-            q, Rect(re_lo, re_hi, im_lo, im_hi), max_depth=args.max_depth
-        )
-        region: dict[str, Any] = {
-            "rect": {"re_lo": re_lo, "re_hi": re_hi, "im_lo": im_lo, "im_hi": im_hi}
-        }
+        result = count_zeros_rect(q, Rect(*args.rect), max_depth=args.max_depth)
+        region = {"rect": dict(zip(("re_lo", "re_hi", "im_lo", "im_hi"), args.rect))}
     else:
         re, im, radius = args.disk
         result = count_zeros_disk(q, complex(re, im), radius, max_depth=args.max_depth)
         region = {"disk": {"re": re, "im": im, "radius": radius}}
-    elapsed = time.perf_counter() - t0
+    config = {**region, "max_depth": args.max_depth}
 
     if args.format == "json":
-        _emit_envelope(
-            args,
-            {"k": q.k, "a": _c(q.a), **region, "max_depth": args.max_depth},
-            {
-                "count": result.count,
-                "edge_segments": result.edge_segments,
-                "min_boundary_ratio": result.min_boundary_mag,
-            },
-            elapsed,
-        )
-        return 0
-
-    sys.stdout.write(f"count: {result.count}\n")
-    sys.stdout.write(f"edge_segments: {result.edge_segments}\n")
-    sys.stdout.write(f"min_boundary_ratio: {fmt(result.min_boundary_mag)}\n")
-    _emit_elapsed(args, elapsed)
-    return 0
+        results = {
+            "count": result.count,
+            "edge_segments": result.edge_segments,
+            "min_boundary_ratio": result.min_boundary_mag,
+        }
+        return config, results, 0
+    return config, [
+        f"count: {result.count}",
+        f"edge_segments: {result.edge_segments}",
+        f"min_boundary_ratio: {fmt(result.min_boundary_mag)}",
+    ], 0
 
 
-def cmd_bounds(args) -> int:
-    q = Quasipolynomial(args.k, args.a)
+def cmd_bounds(args, q: Quasipolynomial) -> _Output:
+    if args.printed_set and args.ineq != "eq4":
+        raise InvalidQueryError(f"--printed-set applies to eq4 only, not {args.ineq}")
     seed = resolve_seed(args.seed)
     if args.ineq == "eq3":
-        base = min_h_t1(q)
-    elif args.ineq == "eq4":
-        base = min_h_t2(q)
-    else:
-        base = abs(q.log_abs_a)
-    h = resolve_h(args.h, base)
-
-    t0 = time.perf_counter()
-    if args.ineq == "eq3":
+        h = resolve_h(args.h, min_h_t1(q))
         report = bounds_mod.verify_eq3(
             q, h, args.R, args.samples, seed, window=args.window
         )
     elif args.ineq == "eq4":
+        h = resolve_h(args.h, min_h_t2(q))
         report = bounds_mod.verify_eq4(
             q, h, args.R, args.samples, seed, window=args.window,
             printed_set=args.printed_set,
         )
     else:
+        h = resolve_h(args.h, abs(q.log_abs_a))
         if args.delta is None:
             raise InvalidQueryError("eq7 needs --delta")
         report = bounds_mod.estimate_c_delta(
             q, h, args.R, args.delta, args.nu_hi, args.samples, seed
         )
-    elapsed = time.perf_counter() - t0
 
+    config = {
+        "ineq": args.ineq, "h": h, "R": args.R, "samples": args.samples, "seed": seed,
+        "window": args.window, "delta": args.delta, "nu_hi": args.nu_hi,
+        "printed_set": args.printed_set,
+    }
     results = {
         "inequality_id": report.inequality_id,
         "samples": report.samples,
@@ -410,97 +367,76 @@ def cmd_bounds(args) -> int:
         "stability_ratio": report.stability_ratio,
         "passed": report.passed,
     }
-    _emit_envelope(
-        args,
-        {
-            "k": q.k, "a": _c(q.a), "ineq": args.ineq, "h": h, "R": args.R,
-            "samples": args.samples, "seed": seed, "window": args.window,
-            "delta": args.delta, "nu_hi": args.nu_hi,
-            "printed_set": args.printed_set,
-        },
-        results,
-        elapsed,
-    )
-    return 0 if report.passed else 1
+    return config, results, 0 if report.passed else 1
 
 
-def cmd_geometry(args) -> int:
-    q = Quasipolynomial(args.k, args.a)
-    t0 = time.perf_counter()
-
+def cmd_geometry(args, q: Quasipolynomial) -> _Output:
+    json_out = args.format == "json"
     if args.sector:
         if args.h is None or args.delta is None:
             raise InvalidQueryError("--sector needs --h and --delta")
         radius = sector_radius(q, args.S, args.h, args.delta)
-        elapsed = time.perf_counter() - t0
-        if args.format == "json":
-            _emit_envelope(
-                args,
-                {"k": q.k, "a": _c(q.a), "what": "sector", "S": args.S,
-                 "h": args.h, "delta": args.delta},
-                {"sector_radius": radius},
-                elapsed,
-            )
-        else:
-            sys.stdout.write("sector_radius\n")
-            sys.stdout.write(f"{fmt(radius)}\n")
-            _emit_elapsed(args, elapsed)
-        return 0
+        config = {"what": "sector", "S": args.S, "h": args.h, "delta": args.delta}
+        if json_out:
+            return config, {"sector_radius": radius}, 0
+        return config, ["sector_radius", fmt(radius)], 0
 
     if args.curve == "gamma":
         if args.h is None or args.j is None or args.im is None:
             raise InvalidQueryError("--curve gamma needs --h, --j and --im LO..HI")
         im_lo, im_hi = args.im
         points = gamma_polyline(q, args.S, args.j, args.h, im_lo, im_hi, args.n)
-        elapsed = time.perf_counter() - t0
-        if args.format == "json":
-            _emit_envelope(
-                args,
-                {"k": q.k, "a": _c(q.a), "what": "gamma", "S": args.S, "j": args.j,
-                 "h": args.h, "im_lo": im_lo, "im_hi": im_hi, "n": args.n},
-                {"points": [[p.real, p.imag] for p in points]},
-                elapsed,
-            )
-        else:
-            sys.stdout.write("re,im\n")
-            for p in points:
-                sys.stdout.write(f"{fmt(p.real)},{fmt(p.imag)}\n")
-            _emit_elapsed(args, elapsed)
-        return 0
+        config = {"what": "gamma", "S": args.S, "j": args.j, "h": args.h,
+                  "im_lo": im_lo, "im_hi": im_hi, "n": args.n}
+        if json_out:
+            return config, {"points": [[p.real, p.imag] for p in points]}, 0
+        return config, ["re,im", *(f"{fmt(p.real)},{fmt(p.imag)}" for p in points)], 0
 
     if args.nu is None or args.h is None:
         raise InvalidQueryError("--quadrangle needs --nu and --h")
     geom = quadrangle(q, args.nu, args.h)
-    elapsed = time.perf_counter() - t0
     diag_limit = math.sqrt(4.0 * math.pi**2 + 4.0 * args.h**2)
-    if args.format == "json":
-        _emit_envelope(
-            args,
-            {"k": q.k, "a": _c(q.a), "what": "quadrangle", "nu": args.nu,
-             "h": args.h},
-            {
-                "corners": [[c.real, c.imag] for c in geom.corners],
-                "diag": geom.diag,
-                "diag_limit": diag_limit,
-            },
-            elapsed,
-        )
-    else:
-        sys.stdout.write("corner,re,im\n")
-        for i, c in enumerate(geom.corners, start=1):
-            sys.stdout.write(f"{i},{fmt(c.real)},{fmt(c.imag)}\n")
-        sys.stdout.write(f"# diag {fmt(geom.diag)}\n")
-        sys.stdout.write(f"# diag_limit {fmt(diag_limit)}\n")
-        _emit_elapsed(args, elapsed)
-    return 0
+    config = {"what": "quadrangle", "nu": args.nu, "h": args.h}
+    if json_out:
+        results = {
+            "corners": [[c.real, c.imag] for c in geom.corners],
+            "diag": geom.diag,
+            "diag_limit": diag_limit,
+        }
+        return config, results, 0
+    return config, [
+        "corner,re,im",
+        *(f"{i},{fmt(c.real)},{fmt(c.imag)}" for i, c in enumerate(geom.corners, start=1)),
+        f"# diag {fmt(geom.diag)}",
+        f"# diag_limit {fmt(diag_limit)}",
+    ], 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()
+        q = Quasipolynomial(args.k, args.a)
+        t0 = time.perf_counter()
+        config, results, status = args.func(args, q)
+        elapsed = time.perf_counter() - t0
+        out = sys.stdout
+        if args.format == "json":
+            payload = {
+                "schema": SCHEMA_VERSION,
+                "command": args.command,
+                "config": {"k": q.k, "a": _c(q.a), **config},
+                "results": results,
+                "timings": {"elapsed_seconds": elapsed} if args.timings else None,
+            }
+            json.dump(payload, out, indent=2)
+            out.write("\n")
+        else:
+            if args.timings:
+                results.append(f"# elapsed_seconds {elapsed}")
+            # one write per line, so a reader that closes early stops the writes
+            for line in results:
+                out.write(line + "\n")
+        out.flush()
         return status
     except BrokenPipeError:
         # The reader closed stdout (for example `| head`).  As the SIGPIPE

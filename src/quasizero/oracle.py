@@ -475,9 +475,11 @@ def _walk_contour(
     its bottom-left corner (bottom, right, top, left), or a disk's quarter
     arcs from angle 0.
 
-    f is evaluated at the four ends first, then each edge is walked
-    (_walk_edge); a piece left unresolved raises its error, classified by the
-    smallest relative |f| seen so far (_Unresolved.classify).
+    An edge whose length / _DEPTH_UNIT overflows, so that its bisection
+    depth has no bound, is an InvalidQueryError.  f is evaluated at the four
+    ends first, then each edge is walked (_walk_edge); a piece left
+    unresolved raises its error, classified by the smallest relative |f|
+    seen so far (_Unresolved.classify).
     """
     if max_depth < MIN_MAX_DEPTH:
         raise InvalidQueryError(f"max_depth must be >= {MIN_MAX_DEPTH}, got {max_depth}")
@@ -498,6 +500,9 @@ def _walk_contour(
 
         starts = [point_of(t) for t in anchors[:4]]
         paths = [(arc(lo, hi), 0.5 * math.pi * radius) for lo, hi in zip(anchors, anchors[1:])]
+    for _, length in paths:
+        if not math.isfinite(length / _DEPTH_UNIT):
+            raise InvalidQueryError(f"contour edge of length {length!r} is too long to walk")
     ends = [(p, _eval_point(q, p, stats)) for p in starts]
     edges = []
     for (path, length), start, end in zip(paths, ends, ends[1:] + ends[:1]):

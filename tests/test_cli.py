@@ -186,6 +186,19 @@ class TestCountCommand:
         assert doc["results"]["count"] == 1
 
 
+    @pytest.mark.parametrize(
+        "contour", ["--rect=0,1e308,0,1e308", "--rect=-1e308,1e308,0,1", "--disk=0,0,1e308"]
+    )
+    def test_overlong_contour_is_usage_error_without_traceback(self, contour):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasizero", "count", "--k", "1", "--a", "1", contour],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: contour edge of length ")
+        assert len(proc.stderr.splitlines()) == 1
+
 class TestBoundsCommand:
     def test_eq3_json_passes(self, capsys):
         code, out, _ = run_cli(
@@ -219,6 +232,17 @@ class TestBoundsCommand:
         )
         assert code == 2
         assert "delta" in err
+
+    @pytest.mark.parametrize("ineq", ["eq3", "eq7"])
+    def test_printed_set_outside_eq4_is_usage_error(self, capsys, ineq):
+        code, out, err = run_cli(
+            capsys,
+            ["bounds", "--ineq", ineq, "--printed-set", "--k", "1", "--a", "1",
+             "--delta", "0.3", "--samples", "100"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --printed-set applies to eq4 only, not {ineq}\n"
 
     def test_eq7_reports_estimate(self, capsys):
         code, out, _ = run_cli(
@@ -491,6 +515,42 @@ class TestParsing:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
+
+
+class TestTimings:
+    #: every subcommand in each of its formats
+    TEXT = [
+        ["zeros", "--k", "1", "--a", "1", "--nu", "1..12"],
+        ["count", "--k", "1", "--a", "1", "--rect", "0,4,8,14"],
+        ["geometry", "--k", "1", "--a", "1", "--sector", "--h", "2", "--delta", "0.3"],
+        ["geometry", "--k", "1", "--a", "1", "--curve", "gamma", "--j", "2", "--h", "2",
+         "--im", "10..20", "--n", "4"],
+        ["geometry", "--k", "1", "--a", "1", "--quadrangle", "--nu", "10", "--h", "2"],
+    ]
+    JSON = [argv + ["--format", "json"] for argv in TEXT] + [
+        ["bounds", "--ineq", "eq3", "--k", "1", "--a", "1", "--samples", "200", "--seed", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", TEXT, ids=" ".join)
+    def test_text_output_gains_one_last_timing_line(self, capsys, argv):
+        code, plain, _ = run_cli(capsys, argv)
+        timed_code, timed, _ = run_cli(capsys, argv + ["--timings"])
+        assert code == timed_code == 0
+        head, sep, last = timed.rstrip("\n").rpartition("\n")
+        assert sep and head + "\n" == plain
+        prefix = "# elapsed_seconds "
+        assert last.startswith(prefix) and float(last[len(prefix):]) >= 0.0
+
+    @pytest.mark.parametrize("argv", JSON, ids=" ".join)
+    def test_json_output_gains_the_elapsed_seconds(self, capsys, argv):
+        code, plain, _ = run_cli(capsys, argv)
+        timed_code, timed, _ = run_cli(capsys, argv + ["--timings"])
+        assert code == timed_code == 0
+        plain_doc, timed_doc = json.loads(plain), json.loads(timed)
+        assert timed_doc["config"] == plain_doc["config"]
+        assert timed_doc["results"] == plain_doc["results"]
+        assert plain_doc["timings"] is None
+        assert isinstance(timed_doc["timings"]["elapsed_seconds"], float)
 
 def _readme_examples():
     """(name, argv, output) for each README command block that is followed

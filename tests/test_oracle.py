@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,7 @@ from quasizero import (
     count_zeros_rect,
     isolate_zeros,
     newton_refine,
+    small_zeros,
 )
 from conftest import lambert_w_zeros
 
@@ -221,6 +223,33 @@ class TestIsolateZeros:
             isolate_zeros(Q11, Rect(0, 1, 0, 1), eps=0.0)
         with pytest.raises(InvalidQueryError):
             isolate_zeros(Q11, Rect(0, 1, 0, 1), eps=0.5, max_depth=5)
+
+
+#: the longest edge whose bisection depth, ceil(log2(L / _DEPTH_UNIT)), is finite
+LONGEST_EDGE = oracle._DEPTH_UNIT * sys.float_info.max
+
+
+class TestOverlongEdges:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_zeros_rect(Q11, Rect(0, 1e308, 0, 1e308)),
+            lambda: count_zeros_rect(Q11, Rect(-1e308, 1e308, 0, 1)),
+            lambda: count_zeros_rect(Q11, Rect(0, math.nextafter(LONGEST_EDGE, math.inf), 0, 1)),
+            lambda: count_zeros_disk(Q11, 0, 1e308),
+            lambda: isolate_zeros(Q11, Rect(-1e308, 1e308, -1, 1), eps=1.0),
+            lambda: small_zeros(Q11, 1e308),
+        ],
+        ids=["square", "wide", "just-too-long", "disk", "isolate", "small-zeros"],
+    )
+    def test_an_edge_without_a_finite_depth_is_an_invalid_query(self, call):
+        with pytest.raises(InvalidQueryError, match="too long to walk"):
+            call()
+
+    def test_the_longest_edge_with_a_finite_depth_is_walked(self):
+        # the walk starts and runs out of depth; the query is not rejected
+        with pytest.raises(DepthExceededError):
+            count_zeros_rect(Q11, Rect(0, LONGEST_EDGE, 0, 1))
 
 
 class TestCentroidBoxes:
