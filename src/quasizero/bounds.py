@@ -27,9 +27,9 @@ report folds every block into a running minimum as it arrives, so memory is
 O(_BLOCK), not O(n).  The worst point is the first minimum in draw order,
 the one np.argmin would pick over all n ratios at once.
 
-The band cell geometry (quadrangle, QuadrangleGeom, _cut_offset) is defined
-in quasizero.regions and the band's zero set (_collect_band_zeros, _min_gap)
-in quasizero.zeros, neither of which needs numpy; both are re-exported here.
+The band cell geometry (quadrangle) is defined in quasizero.regions and the
+band's zero set (_collect_band_zeros, _min_gap) in quasizero.zeros, neither
+of which needs numpy; quadrangle is re-exported here.
 """
 
 from __future__ import annotations
@@ -48,17 +48,16 @@ from .errors import (
     EmptySampleError,
     InvalidIndexError,
     InvalidQueryError,
+    _check_finite,
+    _check_positive,
 )
-from .regions import (  # noqa: F401  (QuadrangleGeom, quadrangle, _cut_offset re-exported)
-    QuadrangleGeom,
+from .regions import (
     _check_band_holds_curve,
-    _cut_offset,
     min_h_t1,
     min_h_t2,
-    quadrangle,
+    quadrangle,  # noqa: F401  (re-exported)
 )
-from .zeros import (  # noqa: F401  (SMALL_DISK_MARGIN re-exported)
-    SMALL_DISK_MARGIN,
+from .zeros import (
     _collect_band_zeros,
     _min_gap,
     nu_min,
@@ -108,20 +107,6 @@ class BoundReport:
     seed: int
     analytic_floor: float | None = None
     stability_ratio: float | None = None
-
-
-def _check_finite(**values: float) -> None:
-    """Reject an infinite or nan input by name before anything is drawn."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
-
-
-def _check_positive(**values: float) -> None:
-    """Reject a value that is not finite and > 0 by name before anything is drawn."""
-    for name, value in values.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise InvalidQueryError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:

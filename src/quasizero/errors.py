@@ -2,10 +2,13 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 that library users (and the CLI) can distinguish numeric failures from misuse.
-All of them derive from :class:`QuasizeroError`.
+All of them derive from :class:`QuasizeroError`.  The two input validators
+at the end raise InvalidQueryError with the texts every module shares.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class QuasizeroError(Exception):
@@ -112,3 +115,17 @@ class DeltaTooLargeError(QuasizeroError, ValueError):
 
 class CertificationError(QuasizeroError):
     """An independently certified count disagrees with the refined list."""
+
+
+def _check_finite(**values: float) -> None:
+    """Reject an infinite or nan input by name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive(**values: float) -> None:
+    """Reject a value that is not finite and > 0 by name."""
+    for name, value in values.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise InvalidQueryError(f"{name} must be finite and > 0, got {value!r}")

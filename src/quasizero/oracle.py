@@ -55,6 +55,7 @@ from .errors import (
     InvalidQueryError,
     QuasizeroError,
     WindingError,
+    _check_positive,
 )
 
 #: an edge of length L may be bisected max_depth + ceil(log2(L / _DEPTH_UNIT))
@@ -165,8 +166,7 @@ class Disk:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise InvalidQueryError(f"radius must be finite and > 0, got {self.radius!r}")
+        _check_positive(radius=self.radius)
         c = complex(self.center)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise InvalidQueryError(f"center must be finite, got {c!r}")
@@ -718,8 +718,7 @@ def isolate_zeros(
     MAX_SUBDIVISIONS levels raises DepthExceededError.  The union of
     returned boxes accounts for every zero of the root rectangle.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise InvalidQueryError(f"eps must be finite and > 0, got {eps!r}")
+    _check_positive(eps=eps)
     stats = _WalkStats()
     root_edges = _walk_contour(q, rect, max_depth, stats)
     out: list[Rect] = []

@@ -14,6 +14,10 @@ level set sigma_1 = ln|a| inside the band once h > |ln|a||.
 quadrangle cuts the S = 1 band into cells by horizontal lines placed
 pi + k*pi/2 + arg(a) below consecutive refined zeros; each cell contains
 exactly one chain zero and its diagonal approaches sqrt(4*pi^2 + 4*h^2).
+
+The band edges (gamma_abscissa) and the sector radius come from one solver,
+_outer_root, whose bracket follows from where x - k*ln|x + iy| - h falls,
+not from a search window, so it returns for every k, h and height y.
 """
 
 from __future__ import annotations
@@ -23,14 +27,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Quasipolynomial, sigma
-from .errors import InvalidIndexError, InvalidQueryError, NoSolutionError
+from .errors import (
+    InvalidIndexError,
+    InvalidQueryError,
+    NoSolutionError,
+    _check_finite,
+    _check_positive,
+)
 from .zeros import enumerate_zeros, nu_min
 
 #: residual tolerance for points returned by the band-edge solver
 GAMMA_RESIDUAL_TOL = 1e-10
-
-#: relative tolerance of the sector-radius bisection
-SECTOR_RADIUS_RTOL = 1e-9
 
 
 class RegionKind(Enum):
@@ -72,10 +79,7 @@ def classify(
     """
     if s not in (1, 2):
         raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
-    if not (h > 0 and math.isfinite(h)):
-        raise InvalidQueryError(f"h must be finite and > 0, got {h!r}")
-    if not (r > 0 and math.isfinite(r)):
-        raise InvalidQueryError(f"R must be finite and > 0, got {r!r}")
+    _check_positive(h=h, R=r)
     lam = complex(lam)
     j = half_plane(lam)
     if abs(lam) <= r:
@@ -105,8 +109,7 @@ def min_h_t2(q: Quasipolynomial) -> float:
 
 def _check_band_holds_curve(q: Quasipolynomial, h: float) -> None:
     """Reject a band half-width h that is not finite or leaves the zero curve out."""
-    if not math.isfinite(h):
-        raise InvalidQueryError(f"h must be finite, got {h!r}")
+    _check_finite(h=h)
     if not h > abs(q.log_abs_a):
         raise InvalidQueryError(
             f"band must contain the zero curve: need h > |ln|a|| = "
@@ -120,8 +123,8 @@ def sector_radius(q: Quasipolynomial, s: int, h: float, delta: float) -> float:
     Any band point with |lambda| = r satisfies |Re lambda| <= h + k*ln(r), so
     |cos(arg lambda)| <= (h + k*ln r)/r; once that bound drops below
     sin(delta) the whole band tail lies in the sector ||arg| - pi/2| < delta.
-    The left side is strictly decreasing for r >= e, so the smallest such R is
-    found by bisection (relative tolerance 1e-9).
+    With u = r*sin(delta) the condition reads u - k*ln u >= h - k*ln sin(delta),
+    which holds for every u at or beyond that equation's largest root.
     """
     if s not in (1, 2):
         raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
@@ -130,124 +133,74 @@ def sector_radius(q: Quasipolynomial, s: int, h: float, delta: float) -> float:
     if not (h >= 0 and math.isfinite(h)):
         raise InvalidQueryError(f"h must be finite and >= 0, got {h!r}")
     sin_delta = math.sin(delta)
+    u = _outer_root(q.k, h - q.k * math.log(sin_delta), 0.0)
+    return max(math.e, u / sin_delta)
 
-    def envelope(rr: float) -> float:
-        return (h + q.k * math.log(rr)) / rr
 
-    lo = math.e
-    if envelope(lo) <= sin_delta:
-        return lo
-    hi = lo
-    for _ in range(80):
-        hi *= 2.0
-        if envelope(hi) <= sin_delta:
-            break
-    else:  # pragma: no cover - envelope(r) -> 0, so this cannot happen
-        raise NoSolutionError("sector envelope never dropped below sin(delta)")
-    while (hi - lo) / hi > SECTOR_RADIUS_RTOL:
-        mid = 0.5 * (lo + hi)
-        if envelope(mid) > sin_delta:
-            lo = mid
+def _outer_root(k: int, h: float, y: float) -> float:
+    """Largest x with F(x) = x - k*ln|x + iy| - h = 0, that is sigma_1 = h.
+
+    F' = 1 - k*x/(x^2 + y^2) is negative only strictly between
+    x-+ = k/2 -+ sqrt(k^2/4 - y^2), and only when |y| < k/2, so the largest
+    root lies on one increasing piece: [x+, inf) when F(x+) <= 0, otherwise
+    (-inf, x-), whose end x- = 0 is a pole at y = 0.  Both min(h, -1) and
+    h + k*ln|y| have F <= 0, which starts the bracket from below; its top is
+    x- or is found by doubling.  Safeguarded Newton then runs inside it.
+    """
+
+    def f(x: float) -> float:
+        return x - k * math.log(math.hypot(x, y)) - h
+
+    a = max(min(h, -1.0), h + k * math.log(abs(y))) if y else min(h, -1.0)
+    b = math.inf
+    if abs(y) < 0.5 * k:
+        x_plus = 0.5 * k + math.sqrt((0.5 * k - y) * (0.5 * k + y))
+        if f(x_plus) <= 0.0:
+            a = max(a, x_plus)
         else:
-            hi = mid
-    return hi
+            b = y * y / x_plus
+    if b == math.inf:
+        step = max(1.0, abs(a))
+        b = a + step
+        while f(b) < 0.0:
+            a, step = b, 2.0 * step
+            b = a + step
 
-
-def _gamma_residual(q: Quasipolynomial, s: int, h: float, y: float, x: float) -> float:
-    """sigma_S(x + iy) - h, with the log singularity at the origin handled."""
-    rr = x * x + y * y
-    if rr == 0.0:
-        # limit of (-1)^S * k * ln|lambda|: -inf for S even, +inf for S odd
-        return math.inf if s % 2 else -math.inf
-    return x + (-1) ** s * 0.5 * q.k * math.log(rr) - h
+    x = a
+    for _ in range(120):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            a = x
+        else:
+            b = x
+        r = math.hypot(x, y)
+        slope = 1.0 - k * (x / r) / r
+        nxt = x - fx / slope if slope > 0.0 else 0.5 * (a + b)
+        if abs(nxt - x) <= 1e-15 * max(1.0, abs(x)):
+            break
+        x = nxt if a < nxt < b else 0.5 * (a + b)
+    if not abs(f(x)) < GAMMA_RESIDUAL_TOL:
+        raise NoSolutionError(
+            f"band-edge solve stalled at residual {f(x):.3e} for Im = {y!r}", y=y
+        )
+    return x
 
 
 def gamma_abscissa(q: Quasipolynomial, s: int, h: float, y: float) -> float:
     """Solve x + (-1)^S * k * ln(sqrt(x^2 + y^2)) = h for x at fixed y.
 
-    Runs a safeguarded Newton iteration inside a bisection bracket found by
-    scanning [-(|y|+|h|+10), |y|+|h|+10]; the returned x satisfies
-    |sigma_S(x + iy) - h| < 1e-10.  Raises NoSolutionError when no sign change
-    exists inside the scan bracket (possible for large k, where the curve
-    escapes it), InvalidQueryError when h or y is not finite.
+    Returns the outer root, the only one when |y| >= k/2: the largest x for
+    S = 1 and, as sigma_2(x + iy) = -sigma_1(-x + iy), the smallest for S = 2.
+    It exists for every k, h and y and has |sigma_S(x + iy) - h| < 1e-10.
+    Raises InvalidQueryError when h or y is not finite, NoSolutionError
+    only when Newton stalls above that residual (h near the float range).
     """
-    for name, value in (("h", h), ("y", y)):
-        if not math.isfinite(value):
-            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
-    lo = -(abs(y) + abs(h) + 10.0)
-    hi = abs(y) + abs(h) + 10.0
-
-    def res(x: float) -> float:
-        return _gamma_residual(q, s, h, y, x)
-
-    # Warm start: the fixed point of x = h - (-1)^S * k * ln|x + iy| is the
-    # branch of the curve the large-|y| asymptote belongs to.
-    warm = h
-    for _ in range(50):
-        rr = warm * warm + y * y
-        if rr == 0.0:
-            break
-        nxt = h - (-1) ** s * 0.5 * q.k * math.log(rr)
-        if not math.isfinite(nxt):
-            break
-        nxt = min(max(nxt, lo), hi)
-        if abs(nxt - warm) < 1e-14 * max(1.0, abs(nxt)):
-            warm = nxt
-            break
-        warm = nxt
-
-    # Scan for sign-change brackets; keep the one nearest the warm start.
-    grid_n = 256
-    best: tuple[float, float] | None = None
-    prev_x, prev_r = lo, res(lo)
-    for i in range(1, grid_n + 1):
-        x = lo + (hi - lo) * i / grid_n
-        rv = res(x)
-        if prev_r == 0.0:
-            best = (prev_x, prev_x)
-            break
-        if rv == 0.0 or (rv < 0) != (prev_r < 0):
-            cand = (prev_x, x)
-            if best is None or abs(0.5 * (cand[0] + cand[1]) - warm) < abs(
-                0.5 * (best[0] + best[1]) - warm
-            ):
-                best = cand
-        prev_x, prev_r = x, rv
-    if best is None:
-        raise NoSolutionError(
-            f"no band-edge abscissa inside [{lo:.3g}, {hi:.3g}] at Im = {y!r}", y=y
-        )
-    a, b = best
-    if a == b:
-        return a
-
-    ra, rb = res(a), res(b)
-    x = warm if a < warm < b else 0.5 * (a + b)
-    for _ in range(120):
-        rx = res(x)
-        if abs(rx) < GAMMA_RESIDUAL_TOL * 0.01:
-            return x
-        if (rx < 0) == (ra < 0):
-            a, ra = x, rx
-        else:
-            b, rb = x, rx
-        rr = x * x + y * y
-        drx = 1.0 + (-1) ** s * q.k * x / rr if rr else 0.0
-        step_ok = False
-        if drx != 0.0 and math.isfinite(drx):
-            nxt = x - rx / drx
-            if a < nxt < b:
-                x = nxt
-                step_ok = True
-        if not step_ok:
-            x = 0.5 * (a + b)
-        if b - a < 1e-15 * max(1.0, abs(x)):
-            break
-    if abs(res(x)) >= GAMMA_RESIDUAL_TOL:
-        raise NoSolutionError(
-            f"band-edge solve stalled at residual {res(x):.3e} for Im = {y!r}", y=y
-        )
-    return x
+    _check_finite(h=h, y=y)
+    if s % 2:
+        return _outer_root(q.k, h, y)
+    return -_outer_root(q.k, -h, y)
 
 
 def gamma_polyline(
@@ -268,9 +221,7 @@ def gamma_polyline(
         raise InvalidQueryError(f"n must be an integer >= 2, got {n!r}")
     if s not in (1, 2):
         raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
-    for name, value in (("im_lo", im_lo), ("im_hi", im_hi)):
-        if not math.isfinite(value):
-            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
+    _check_finite(im_lo=im_lo, im_hi=im_hi)
     if im_lo > im_hi:
         raise InvalidQueryError(f"empty Im range [{im_lo!r}, {im_hi!r}]")
     if j == 1:

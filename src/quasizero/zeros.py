@@ -50,6 +50,7 @@ from .errors import (
     InvalidQueryError,
     NonConsecutiveError,
     NotConvergedError,
+    _check_positive,
 )
 from .oracle import Rect, count_zeros_disk, isolate_zeros
 
@@ -459,8 +460,7 @@ def small_zeros(q: Quasipolynomial, radius: float) -> list[complex]:
     match the disk count exactly.  Oracle errors (boundary zeros, exhausted
     depth) propagate so the caller can adjust the radius.
     """
-    if not (radius > 0 and math.isfinite(radius)):
-        raise InvalidQueryError(f"radius must be finite and > 0, got {radius!r}")
+    _check_positive(radius=radius)
     square = Rect(-radius, radius, -radius, radius)
     eps = min(0.5, radius)
     pending = isolate_zeros(q, square, eps)

@@ -634,6 +634,19 @@ class TestQuadrangle:
         assert bl.imag < zero.imag < tl.imag
         assert point_in_polygon(zero, geom.corners)
 
+    @pytest.mark.parametrize("k", [125, 150, 200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_high_degree_cells(self, k, sign):
+        # The corner solves must work at k up to 200, where the band edges
+        # lie near Re = 1500, far from the imaginary axis.
+        q = Quasipolynomial(k, 1)
+        geom = quadrangle(q, sign * k, 1.0)
+        for corner, level in zip(geom.corners, (-1.0, 1.0, 1.0, -1.0)):
+            assert sigma(q, 1, corner) == pytest.approx(level, abs=1e-10)
+        assert point_in_polygon(lambert_w_chain_zero(k, q.a, sign * k), geom.corners)
+        assert polygon_signed_area(geom.corners) > 0
+        assert math.isfinite(geom.diag)
+
     def test_enclosing_rectangle_counts_one_zero(self):
         geom = quadrangle(Q11, 10, 2.0)
         xs = [c.real for c in geom.corners]

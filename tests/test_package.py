@@ -51,9 +51,8 @@ class TestLazyBounds:
     def test_moved_names_are_reexported_from_bounds(self):
         from quasizero import bounds, regions, zeros
 
-        for name in ("quadrangle", "QuadrangleGeom", "_cut_offset"):
-            assert getattr(bounds, name) is getattr(regions, name), name
-        for name in ("_collect_band_zeros", "_min_gap", "SMALL_DISK_MARGIN"):
+        assert bounds.quadrangle is regions.quadrangle
+        for name in ("_collect_band_zeros", "_min_gap"):
             assert getattr(bounds, name) is getattr(zeros, name), name
         assert quasizero.quadrangle is regions.quadrangle
         assert quasizero.QuadrangleGeom is regions.QuadrangleGeom

@@ -6,10 +6,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasizero import (
     InvalidQueryError,
-    NoSolutionError,
     Quasipolynomial,
     RegionKind,
     classify,
@@ -147,6 +148,25 @@ class TestSectorRadius:
                 sector_radius(Q11, 1, 1.0, bad)
 
 
+def _band_edge_gap(k: int, s: int, h: float, lam: complex) -> float:
+    """sigma_S(lambda) - h from the definition, with no library code."""
+    return lam.real + (-1) ** s * k * math.log(abs(lam)) - h
+
+
+@st.composite
+def band_edge_queries(draw):
+    """(k, S, h, y) with y = 0, 0 < |y| < k/2 (where sigma_1 falls) or up to 1e7."""
+    k = draw(st.integers(1, 200))
+    s = draw(st.sampled_from([1, 2]))
+    h = draw(st.floats(-5.0, 5.0))
+    y = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda t: t * k / 2),
+        st.floats(k / 2, 1e7),
+    ))
+    return k, s, h, draw(st.sampled_from([1.0, -1.0])) * y
+
+
 class TestGammaAbscissa:
     def test_matches_fixed_point_oracle(self):
         # Independent oracle: x <- 2 + ln(sqrt(x^2 + 1e4)) converges because
@@ -170,11 +190,41 @@ class TestGammaAbscissa:
         x = gamma_abscissa(q, s, h, y)
         assert abs(sigma(q, s, complex(x, y)) - h) < 1e-9
 
-    def test_no_solution_in_bracket(self):
+    def test_root_beyond_the_old_scan_bracket(self):
+        # x - 50 ln|x + 5i| = 0 has its outer root near 282, far outside
+        # +-(|y| + |h| + 10); the independent bisection finds it on [200, 400].
         q = Quasipolynomial(50, 1)
-        with pytest.raises(NoSolutionError) as exc:
-            gamma_abscissa(q, 1, 0.0, 5.0)
-        assert exc.value.y == 5.0
+        expected = bisect_root(
+            lambda x: x - 50 * math.log(math.hypot(x, 5.0)), 200.0, 400.0
+        )
+        got = gamma_abscissa(q, 1, 0.0, 5.0)
+        assert got == pytest.approx(expected, rel=1e-13)
+        assert 282.0 < got < 282.2
+
+    @given(band_edge_queries())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_outer_root_at_any_k_and_height(self, query):
+        k, s, h, y = query
+        x = gamma_abscissa(Quasipolynomial(k, 1), s, h, y)
+        assert abs(_band_edge_gap(k, s, h, complex(x, y))) < 1e-10
+        # Beyond the root (right for S = 1, left for S = 2) sigma_S - h keeps
+        # the sign it has at infinity on a grid covering the dip at x -+.
+        outward = 1 if s == 1 else -1
+        span = 2 * k + 10 + abs(x)
+        for i in range(1, 401):
+            lam = complex(x + outward * span * i / 400, y)
+            if lam != 0:
+                assert outward * _band_edge_gap(k, s, h, lam) > 0, (query, x, lam)
+
+    @pytest.mark.parametrize("k, h, y", [
+        (1, 2.0, 10.0), (50, 0.0, 5.0), (8, -2.379, 1.5), (7, 3.0, 0.0),
+        (200, -4.0, 99.0), (3, 0.5, -1e7),
+    ])
+    def test_mirror_identity(self, k, h, y):
+        # sigma_2(x + iy) = -sigma_1(-x + iy), so the S = 2 edge at h is the
+        # mirror image of the S = 1 edge at -h, bit for bit.
+        q = Quasipolynomial(k, 1)
+        assert gamma_abscissa(q, 2, h, y) == -gamma_abscissa(q, 1, -h, y)
 
     @pytest.mark.parametrize("h, y, name", [
         (math.inf, 10.0, "h"), (math.nan, 10.0, "h"), (-math.inf, 10.0, "h"),
@@ -198,6 +248,15 @@ class TestGammaPolyline:
         pts = gamma_polyline(Q11, 2, 2, 1.0, 0.0, 10.0, 11)
         for i, p in enumerate(pts):
             assert p.imag == pytest.approx(float(i), abs=1e-12)
+
+    def test_stays_on_the_outer_branch(self):
+        # For k = 8 sigma_1 falls between x-+ = 4 -+ sqrt(16 - y^2) and here
+        # crosses h = -2.379 three times; every point must lie right of x+,
+        # on one smooth branch.
+        pts = gamma_polyline(Quasipolynomial(8, 1), 1, 2, -2.379, 0.0, 3.0, 7)
+        for p in pts:
+            assert p.real > 4.0 + math.sqrt(16.0 - p.imag**2)
+        assert all(abs(p.real - r.real) < 0.05 for p, r in zip(pts, pts[1:]))
 
     def test_lower_half_plane(self):
         pts = gamma_polyline(Q11, 1, 1, 1.0, -50.0, -10.0, 5)
