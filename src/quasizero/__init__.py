@@ -4,7 +4,9 @@ The package evaluates the function stably in the exponent domain, splits the
 plane into four named regions around the zero curve, enumerates the zero
 chain from asymptotic guesses, each refined zero proven by a Rouche disk that
 holds exactly one zero of its branch, counts zeros by the argument principle,
-and verifies the dominance bounds by seeded sampling.
+and verifies the dominance bounds by seeded sampling.  Near the origin every
+zero comes from its Lambert-W closed form, proven by a Rouche disk, and the
+list is certified by one contour count.
 
 Only the sampled bounds need numpy, so quasizero.bounds and the four names
 served from it load on first access (PEP 562): importing the package for

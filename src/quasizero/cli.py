@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="smallest radius beyond which the band stays in the near-imaginary sectors",
     )
     p_geo.add_argument("--S", type=int, choices=(1, 2), default=1,
-                       help="band coordinate index")
+                       help="band coordinate index (gamma)")
     p_geo.add_argument("--j", type=int, choices=(1, 2), help="half-plane flag (gamma)")
     p_geo.add_argument("--nu", type=int, help="chain index (quadrangle)")
     p_geo.add_argument("--h", type=float, help="band half-width or edge level")
@@ -375,8 +375,8 @@ def cmd_geometry(args, q: Quasipolynomial) -> _Output:
     if args.sector:
         if args.h is None or args.delta is None:
             raise InvalidQueryError("--sector needs --h and --delta")
-        radius = sector_radius(q, args.S, args.h, args.delta)
-        config = {"what": "sector", "S": args.S, "h": args.h, "delta": args.delta}
+        radius = sector_radius(q, args.h, args.delta)
+        config = {"what": "sector", "h": args.h, "delta": args.delta}
         if json_out:
             return config, {"sector_radius": radius}, 0
         return config, ["sector_radius", fmt(radius)], 0

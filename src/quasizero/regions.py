@@ -117,7 +117,7 @@ def _check_band_holds_curve(q: Quasipolynomial, h: float) -> None:
         )
 
 
-def sector_radius(q: Quasipolynomial, s: int, h: float, delta: float) -> float:
+def sector_radius(q: Quasipolynomial, h: float, delta: float) -> float:
     """Smallest R >= e with (h + k*ln r)/r <= sin(delta) for all r >= R.
 
     Any band point with |lambda| = r satisfies |Re lambda| <= h + k*ln(r), so
@@ -126,8 +126,6 @@ def sector_radius(q: Quasipolynomial, s: int, h: float, delta: float) -> float:
     With u = r*sin(delta) the condition reads u - k*ln u >= h - k*ln sin(delta),
     which holds for every u at or beyond that equation's largest root.
     """
-    if s not in (1, 2):
-        raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
     if not (0 < delta < math.pi / 2):
         raise InvalidQueryError(f"delta must lie in (0, pi/2), got {delta!r}")
     if not (h >= 0 and math.isfinite(h)):
@@ -194,11 +192,14 @@ def gamma_abscissa(q: Quasipolynomial, s: int, h: float, y: float) -> float:
     Returns the outer root, the only one when |y| >= k/2: the largest x for
     S = 1 and, as sigma_2(x + iy) = -sigma_1(-x + iy), the smallest for S = 2.
     It exists for every k, h and y and has |sigma_S(x + iy) - h| < 1e-10.
-    Raises InvalidQueryError when h or y is not finite, NoSolutionError
-    only when Newton stalls above that residual (h near the float range).
+    Raises InvalidQueryError when S is not 1 or 2 or h or y is not finite,
+    NoSolutionError only when Newton stalls above that residual (h near the
+    float range).
     """
+    if s not in (1, 2):
+        raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
     _check_finite(h=h, y=y)
-    if s % 2:
+    if s == 1:
         return _outer_root(q.k, h, y)
     return -_outer_root(q.k, -h, y)
 
@@ -219,8 +220,6 @@ def gamma_polyline(
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidQueryError(f"n must be an integer >= 2, got {n!r}")
-    if s not in (1, 2):
-        raise InvalidQueryError(f"S must be 1 or 2, got {s!r}")
     _check_finite(im_lo=im_lo, im_hi=im_hi)
     if im_lo > im_hi:
         raise InvalidQueryError(f"empty Im range [{im_lo!r}, {im_hi!r}]")

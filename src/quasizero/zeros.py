@@ -19,11 +19,12 @@ branch fixes which zero is found.  A Rouche test against the linear Taylor
 model of g at the converged zero then proves a disk around it that holds
 exactly one zero of branch nu; its radius is recorded.
 
-newton_refine is Newton on f itself, for seeds with no chain index (the
-small_zeros box centres and user seeds).  A free zero may lie on the branch
-cut of Log, where no single branch equation holds along the iteration, so it
-keeps the z-form with a trust disk around the seed.  small_zeros keeps its
-result only when a Rouche disk on f around it lies inside the seed's box.
+small_zeros takes its zeros from the Lambert-W seeds of quasizero.seeds,
+each proven by a Rouche disk on f, and certifies the list with one disk
+count.  newton_refine is Newton on f itself, for user seeds with no chain
+index.  A free zero may lie on the branch cut of Log, where no single branch
+equation holds along the iteration, so it keeps the z-form with a trust disk
+around the seed.
 
 _collect_band_zeros joins the chain and the small zeros below it into the
 band's zero set, which the punctured-band floor of quasizero.bounds samples
@@ -37,13 +38,12 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .core import Quasipolynomial, _dominant, _require_finite, relative_magnitude
+from .core import Quasipolynomial, _require_finite, relative_magnitude
 from .errors import (
     BoundaryZeroError,
     CertificationError,
     DegenerateZeroError,
     DepthExceededError,
-    DerivativeVanishedError,
     DivergedError,
     DuplicateZeroError,
     InvalidIndexError,
@@ -52,7 +52,8 @@ from .errors import (
     NotConvergedError,
     _check_positive,
 )
-from .oracle import Rect, count_zeros_disk, isolate_zeros
+from .oracle import count_zeros_disk
+from .seeds import _ROUCHE_ERR, _newton_terms, _proven_zeros
 
 logger = logging.getLogger(__name__)
 
@@ -81,21 +82,6 @@ DUPLICATE_TOL = 1e-6
 #: Newton on a branch equation stops after a step shorter than this times
 #: max(1, |xi|)
 _BRANCH_STEP_TOL = 1e-10
-
-#: bound on the rounding of the computed G(lambda) = lambda - k*Log(lambda) - C
-#: of the Rouche test, per unit of |lambda| + k*|Log lambda| + 2*pi*|nu|.  With
-#: u = 2**-53, G is computed as ((lambda - A) - c) - k*Log(lambda), where
-#: A = i*fl(2*pi*|nu|) and c = fl(ln|a|) + i*fl(arg a + pi), so C = A + c.
-#: A is off by at most 1.4u * 2*pi*|nu| (math.tau is 0.35u below 2*pi, plus
-#: the product's rounding); c by at most u*|c| + 14u (hypot, log, phase, pi
-#: and the sum); lambda - A, near c + k*Log(lambda), rounds by at most
-#: u*(|c| + k*|Log lambda|); cmath.log is off by at most 2u*(|Log lambda| + 1),
-#: so k times it, with the product's rounding, by 3u*k*|Log lambda| + 2u*k;
-#: the last two subtractions round by at most u*(k*|Log lambda| + 2*|G|).
-#: Near the zero |ln|a|| = |Re lambda - k*ln|lambda||, so |c| <= |lambda| +
-#: k*|Log lambda| + 2*pi, and |lambda| >= 2*pi*|nu| >= 2*pi*max(5, k) covers
-#: 2u*k and the constant terms.  The total is below 7u per unit; 8u is taken.
-_ROUCHE_ERR = 2.0**-50
 
 #: the small-zero disk of _collect_band_zeros ends this far inside the outer
 #: chain zero of index +-nu_min, and moves inward by as much per retry
@@ -220,6 +206,20 @@ def _refine_branch(
     g = abs((lam - anchor) - const - p.k * log_lam)  # |G(lam)|
     dg = abs(1.0 - p.k / lam)  # |G'(lam)|
     mod = abs(lam)
+    # err bounds the rounding of the computed G, per unit of |lambda| +
+    # k*|Log lambda| + 2*pi*|nu|, with u = 2**-53.  G is computed as
+    # ((lambda - A) - c) - k*Log(lambda), where A = i*fl(2*pi*|nu|) and
+    # c = fl(ln|a|) + i*fl(arg a + pi), so C = A + c.  A is off by at most
+    # 1.4u * 2*pi*|nu| (math.tau is 0.35u below 2*pi, plus the product's
+    # rounding); c by at most u*|c| + 14u (hypot, log, phase, pi and the
+    # sum); lambda - A, near c + k*Log(lambda), rounds by at most
+    # u*(|c| + k*|Log lambda|); cmath.log is off by at most
+    # 2u*(|Log lambda| + 1), so k times it, with the product's rounding, by
+    # 3u*k*|Log lambda| + 2u*k; the last two subtractions round by at most
+    # u*(k*|Log lambda| + 2*|G|).  Near the zero |ln|a|| = |Re lambda -
+    # k*ln|lambda||, so |c| <= |lambda| + k*|Log lambda| + 2*pi, and
+    # |lambda| >= 2*pi*|nu| >= 2*pi*max(5, k) covers 2u*k and the constant
+    # terms.  The total is below 7u per unit; _ROUCHE_ERR is 8u.
     err = _ROUCHE_ERR * (mod + p.k * abs(log_lam) + anchor.imag)
     radius = 2.0 * (g + err) / dg
     if not (
@@ -235,38 +235,14 @@ def _refine_branch(
     return seed, lam, nw_iters, radius
 
 
-def _newton_terms(q: Quasipolynomial, lam: complex) -> tuple[float, complex, float]:
-    """(relative |f|, Newton step f/f', relative |f'|) at a finite lambda.
-
-    Both f and f' are divided by the larger of e^lambda and a*lambda^k, so
-    the one exp of the smaller term over the larger (core._dominant) gives
-    all three without overflow.  Relative |f'| is |f'| over the larger of
-    its own two terms.
-    """
-    if lam == 0:
-        # f(0) = 1, and f'(0) keeps the constant term a only when k = 1
-        num, term1, term2 = 1.0 + 0j, 1.0, q.a if q.k == 1 else 0.0
-    else:
-        _, w, exp_dominates = _dominant(q.log_a, q.k, lam)
-        num = 1.0 + w
-        if exp_dominates:  # w = a*lambda^k / e^lambda
-            term1, term2 = 1.0, q.k * w / lam
-        else:  # w = e^lambda / (a*lambda^k)
-            term1, term2 = w, q.k / lam
-    den = term1 + term2
-    if den == 0:
-        raise DerivativeVanishedError(f"f' vanished near {lam!r}")
-    return abs(num), num / den, abs(den) / max(abs(term1), abs(term2))
-
-
 def newton_refine(q: Quasipolynomial, seed: complex) -> ZeroRecord:
     """Newton iteration on f itself from a free seed.
 
-    This is the refiner for seeds that carry no chain index: the small_zeros
-    box centres and user seeds.  It works on f rather than on a branch
-    equation because a free zero may sit on the branch cut of Log: the zero
-    -0.567 of e^lambda + lambda is on the negative real axis, where the
-    branch index of its iterates jumps by k from one step to the next.
+    This is the refiner for user seeds, which carry no chain index.  It
+    works on f rather than on a branch equation because a free zero may sit
+    on the branch cut of Log: the zero -0.567 of e^lambda + lambda is on the
+    negative real axis, where the branch index of its iterates jumps by k
+    from one step to the next.
 
     Stops when the relative residual |f| / max(|e^lambda|, |a*lambda^k|)
     drops below NEWTON_TOL, or right after a step of at most 4 ulps of
@@ -400,109 +376,34 @@ def spacing_report(records: list[ZeroRecord]) -> SpacingReport:
     return SpacingReport(gaps=gaps, max_deviation_from_nu_10=max_dev, decay_ratio=ratio)
 
 
-def _box_zero(q: Quasipolynomial, box: Rect) -> tuple[complex, float] | None:
-    """(zero, radius): Newton's zero from the centre of box, proven in box.
-
-    The proof is a Rouche disk D(z, r) inside box: against the linear
-    Taylor model of f at z, |f'(z)|*r - |f(z)| - err > r^2*M2/2, where
-    M2 = e^(Re z + r) + |a|*k*(k-1)*(|z| + r)^(k-2) bounds |f''| on the disk,
-    so f has the model's one zero in the disk, and so box's zero.  Returns
-    None when Newton fails from the centre or no disk is proven.
-    """
-    try:
-        z = newton_refine(q, box.center).refined
-    except (NotConvergedError, DivergedError, DerivativeVanishedError) as err:
-        logger.debug("Newton from the centre of %r failed: %s", box, err)
-        return None
-    # f, f' and M2 are taken relative to S = |exp(dom)|, the larger term of
-    # f at z: the test is homogeneous in S, and no term can overflow.  err
-    # bounds the rounding of the computed |f|/S.  With u = 2**-53, the
-    # exponent Log a + k*Log z is off by at most 3u*|Log a| + 4u*k*|Log z| +
-    # 2u*k + 2u (the two cmath.log calls, the product and the sum), its
-    # difference with z rounds by u*(|Log a| + k*|Log z| + |z|), and exp,
-    # 1 + w and abs add 5u at |w| <= 1.  _ROUCHE_ERR's 8u per unit of
-    # |Log a| + k*|Log z| + |z| + k + 1 leaves at least 6u to spare.  At
-    # r = 2*(|f|/S + err)/|f'| both sides of the test are at most about
-    # |f|/S + err, below 1e-11 after a Newton stop, so the spare covers the
-    # test's own roundings and the relative roundings of |f'| and M2, which
-    # stay below 1e-4 while Newton keeps relative |f'| above 1e-8.
-    dom, w, exp_dominates = _dominant(q.log_a, q.k, z)
-    fz = abs(1.0 + w)
-    fp = abs(1.0 + q.k * w / z if exp_dominates else w + q.k / z)
-    mod = abs(z)
-    err = _ROUCHE_ERR * (abs(q.log_a) + q.k * abs(cmath.log(z)) + mod + q.k + 1.0)
-    r = 2.0 * (fz + err) / fp
-    if not box.contains(z, pad=-r):
-        logger.debug("Newton from the centre of %r left it for %r", box, z)
-        return None
-    # S >= |a*z^k| bounds the second exponent by (k - 2)*ln(1 + r/|z|) -
-    # 2*ln|z|, which stays far below overflow unless |z| is tiny
-    m2 = math.exp(z.real + r - dom.real)
-    if q.k > 1:
-        m2 += q.k * (q.k - 1) * math.exp(
-            q.log_abs_a + (q.k - 2) * math.log(mod + r) - dom.real
-        )
-    if not fp * r - fz - err > r * r * m2 / 2.0:
-        logger.debug("no Rouche disk proves %r in %r", z, box)
-        return None
-    return z, r
-
-
 def small_zeros(q: Quasipolynomial, radius: float) -> list[complex]:
-    """All zeros with |lambda| <= radius, certified by a disk contour count.
+    """All zeros with |lambda| <= radius, sorted by Im then Re.
 
-    Quadtree isolation over the bounding square yields one-zero boxes.  Each
-    box centre is polished by Newton, and the result is kept when a Rouche
-    disk around it lies inside its box (_box_zero).  A box with no such disk
-    is isolated again at a quarter of its diameter; CertificationError names
-    a box that would go below DUPLICATE_TOL.  Zeros outside the disk are
-    dropped; the survivors' Rouche disks must not meet, and their number must
-    match the disk count exactly.  Oracle errors (boundary zeros, exhausted
-    depth) propagate so the caller can adjust the radius.
+    The disk is counted first (count_zeros_disk).  Its zeros come from the
+    Lambert-W seeds, each polished by Newton on f and proven by a Rouche
+    disk that holds exactly one zero; the disks kept, one per zero, must
+    not meet, and the number inside the disk must match the count
+    (seeds._proven_zeros, CertificationError otherwise).  Oracle errors
+    (boundary zeros, exhausted depth) propagate so the caller can adjust
+    the radius.
     """
     _check_positive(radius=radius)
-    square = Rect(-radius, radius, -radius, radius)
-    eps = min(0.5, radius)
-    pending = isolate_zeros(q, square, eps)
-    disks: list[tuple[complex, float]] = []
-    while pending:
-        box = pending.pop()
-        disk = _box_zero(q, box)
-        if disk is None:
-            if box.diameter / 4.0 < DUPLICATE_TOL:
-                raise CertificationError(
-                    f"no Rouche disk proves the zero in isolation box {box!r}"
-                )
-            pending += isolate_zeros(q, box, box.diameter / 4.0)
-        elif abs(disk[0]) <= radius:
-            disks.append(disk)
-    disks.sort(key=lambda d: (d[0].imag, d[0].real))
-    # disks in disjoint boxes cannot meet; two that do may hold one zero
-    reach = 2.0 * max((r for _, r in disks), default=0.0)
-    for i, (z, r) in enumerate(disks):
-        for other, r_other in disks[i + 1:]:
-            if other.imag - z.imag > reach:
-                break
-            if abs(other - z) <= r + r_other:
-                raise CertificationError(
-                    f"the Rouche disks of {z!r} and {other!r} meet"
-                )
-    zeros = [z for z, _ in disks]
-    certified = count_zeros_disk(q, 0j, radius)
-    if certified.count != len(zeros):
-        raise CertificationError(
-            f"disk count {certified.count} != {len(zeros)} refined zeros "
-            f"inside |lambda| <= {radius}"
-        )
-    return zeros
+    count = count_zeros_disk(q, 0j, radius).count
+
+    def where(z: complex, r: float) -> bool | None:
+        if abs(z) + r <= radius:
+            return True
+        return False if abs(z) - r > radius else None
+
+    bounds = (-radius, radius, -radius, radius)
+    return [z for z, _ in _proven_zeros(q, bounds, where, count, f"disk |lambda| <= {radius!r}")]
 
 
 def _collect_band_zeros(q: Quasipolynomial, nu_hi: int) -> list[complex]:
     """Refined zeros covering the band up to |Im| = 2*pi*nu_hi.
 
     Chain indices |nu| in [nu_min, nu_hi] come from the enumerator; whatever
-    lives below the chain is picked up by certified small-zero isolation on
-    a disk that ends just inside the farther of the two chain zeros of index
+    lives below the chain is picked up by small_zeros on a disk that ends just inside the farther of the two chain zeros of index
     +-nu_min, nudged inward until its boundary is clear of zeros.  Chain
     zeros inside that disk are dropped as duplicates.
     """

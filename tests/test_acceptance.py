@@ -162,7 +162,7 @@ def test_6_sector_containment_radius():
             q = Quasipolynomial(k, 1)
             radii = {}
             for delta in (0.1, 0.3):
-                r_star = sector_radius(q, 1, h, delta)
+                r_star = sector_radius(q, h, delta)
                 radii[delta] = r_star
                 rng = np.random.default_rng(2468)
                 x_hi = k * math.log(10 * r_star) + h + 1

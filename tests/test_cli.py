@@ -441,7 +441,7 @@ class TestGeometryCommand:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "sector_radius"
-        assert float(lines[1]) == sector_radius(Q11, 1, 2.0, 0.3)
+        assert float(lines[1]) == sector_radius(Q11, 2.0, 0.3)
 
     def test_mode_flags_are_exclusive(self, capsys):
         code, _, _ = run_cli(

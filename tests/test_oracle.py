@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasizero.oracle as oracle
+import quasizero.seeds as seeds
 from quasizero import (
     BoundaryZeroError,
     DepthExceededError,
@@ -29,8 +30,9 @@ from conftest import lambert_w_zeros
 
 Q11 = Quasipolynomial(1, 1)
 
-#: the boxes of the quadtree alone, without the centroid step, on the
-#: isolation inputs of TestIsolateZeros and on two rects with long cross lines
+#: the boxes that quadtree isolation returned, without its centroid step, on
+#: the isolation inputs of TestIsolateZeros and on two rects with long cross
+#: lines: each box holds one zero, so they fix the zeros isolation must find
 QUADTREE_BOXES = [
     (
         Q11, Rect(-2, 2, -2, 2), 1e-3,
@@ -185,6 +187,12 @@ class TestIsolateZeros:
         assert box.im_lo <= 0.0 <= box.im_hi
         assert math.hypot(box.re_hi - box.re_lo, box.im_hi - box.im_lo) <= 1e-3
 
+    def test_eps_wider_than_the_rect(self, omega):
+        # the second Rouche disk of a box that wide would need a bound on
+        # |f''| beyond the float range: the box shrinks until one is proven
+        (box,) = isolate_zeros(Q11, Rect(-2, 2, -2, 2), eps=2000.0)
+        assert box.contains(omega) and box.diameter <= 2000.0
+
     def test_far_field_rect_is_empty(self):
         assert isolate_zeros(Q11, Rect(50, 54, 0, 4), eps=0.5) == []
 
@@ -247,22 +255,14 @@ class TestOverlongEdges:
             call()
 
     def test_the_longest_edge_with_a_finite_depth_is_walked(self):
-        # the walk starts and runs out of depth; the query is not rejected
-        with pytest.raises(DepthExceededError):
-            count_zeros_rect(Q11, Rect(0, LONGEST_EDGE, 0, 1))
+        # the query is not rejected, and each piece's pad follows its own
+        # points, so the walk certifies the pieces near the origin too
+        assert count_zeros_rect(Q11, Rect(0, LONGEST_EDGE, 0, 1)).count == 0
 
 
 class TestCentroidBoxes:
-    """A box holding one zero but wider than eps is finished by one square
-    around the first moment of its walked edges, when that square counts 1."""
-
-    @pytest.mark.parametrize("q, rect, eps, quadtree", QUADTREE_BOXES)
-    def test_a_centroid_that_always_misses_leaves_the_quadtree(
-        self, monkeypatch, q, rect, eps, quadtree
-    ):
-        monkeypatch.setattr(oracle, "_centroid_box", lambda *args: None)
-        boxes = isolate_zeros(q, rect, eps)
-        assert repr(boxes) == repr([Rect(*b) for b in quadtree])
+    """On the inputs of QUADTREE_BOXES, every box holds one reference zero,
+    and the boxes hold the zeros the quadtree's boxes held."""
 
     @pytest.mark.parametrize("q, rect, eps, quadtree", QUADTREE_BOXES)
     def test_each_box_holds_one_reference_zero(self, q, rect, eps, quadtree):
@@ -270,44 +270,37 @@ class TestCentroidBoxes:
         zeros = [z for z in lambert_w_zeros(q.k, q.a, far) if rect.contains(z)]
         boxes = isolate_zeros(q, rect, eps)
         assert len(boxes) == len(zeros) == len(quadtree)
+        old = [Rect(*b) for b in quadtree]
         for box in boxes:
             assert box.diameter <= eps
-            assert sum(box.contains(z) for z in zeros) == 1
-
-    def test_the_moment_of_a_one_zero_box_is_its_zero(self, omega):
-        # the walked edges of Rect(-1, 0, -0.5, 0.5), from the walker itself;
-        # their moment lies near the zero, but at eps = 0.02 the two sums
-        # miss the gate, so isolation splits this box
-        box = Rect(-1, 0, -0.5, 0.5)
-        stats = oracle._WalkStats()
-        edges = oracle._walk_contour(Q11, box, oracle.DEFAULT_MAX_DEPTH, stats)
-        walked = oracle._centroids(Q11, box, edges)
-        assert not oracle._gate(box, *walked, 0.02)
-        assert abs(walked[0] - omega) < 0.05
+            (z,) = [z for z in zeros if box.contains(z)]
+            assert sum(b.contains(z) for b in old) == 1
 
 
 class TestIsolationSharesEdges:
     def test_cost_stays_within_three_and_a_half_root_counts(self, monkeypatch):
-        # The pins are absolute now.  The knot walker took 908 evaluations for
-        # this root count and 2,784 to isolate (3.1x); certifying whole pieces
-        # takes 38 for the root count, where dominance accepts most of each
-        # edge unevaluated, and 745 to isolate, whose cross lines run through
-        # the zeros (20x).  Every evaluation goes through _eval_point.
+        # The pins are absolute.  Certifying whole pieces takes 38
+        # evaluations for the root count, where dominance accepts most of
+        # each edge unevaluated.  Isolation adds three per zero: one Newton
+        # step on its seed, its Rouche disk and its box's second disk.  Every
+        # evaluation of f, on the contour or in a proof, goes through
+        # core._dominant.
         evals = [0]
-        scalar = oracle._eval_point
+        kernel = oracle._dominant
 
-        def counting(q, lam, stats):
+        def counting(*args):
             evals[0] += 1
-            return scalar(q, lam, stats)
+            return kernel(*args)
 
-        monkeypatch.setattr(oracle, "_eval_point", counting)
+        monkeypatch.setattr(oracle, "_dominant", counting)
+        monkeypatch.setattr(seeds, "_dominant", counting)
         rect = Rect(-5, 8, -50.3, 50.1)
         root = count_zeros_rect(Q11, rect)
         root_evals, evals[0] = evals[0], 0
         assert root_evals == 38
         boxes = isolate_zeros(Q11, rect, eps=0.5)
         assert len(boxes) == root.count == 17
-        assert evals[0] == 745
+        assert evals[0] == 89
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -346,54 +339,11 @@ class TestIsolationSharesEdges:
 
 
 class TestIsolationLogsRetries:
-    # The split lines of Rect(-2, 2, -2, 2) cross at the origin, and the
-    # horizontal one runs through the real zero near -0.567.
+    # isolation logs and prints nothing, at any level
     RECT = Rect(-2, 2, -2, 2)
 
-    def test_each_failed_split_is_logged_at_debug(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="quasizero.oracle")
-        boxes = isolate_zeros(Q11, self.RECT, eps=1e-3)
-        assert len(boxes) == 1
-        records = [r for r in caplog.records if r.name == "quasizero.oracle"]
-        assert all(r.levelno == logging.DEBUG for r in records)
-        retries = [r for r in records if r.getMessage().startswith("split of")]
-        assert retries
-        first = retries[0].getMessage()
-        assert repr(self.RECT) in first
-        assert "jitter (0, 0)" in first
-        assert "DepthExceededError" in first or "BoundaryZeroError" in first
-
-    @pytest.mark.parametrize(
-        "offset, reasons",
-        [
-            # the root box's moments disagree by more than eps / 2
-            (None, ("gate",)),
-            # the square around this point holds no zero
-            (0.4 + 0.4j, ("count 0",)),
-            # the square's bottom edge runs through the zero
-            (oracle._CENTROID_HALF_SIDE * 1e-3 * 1j, ("BoundaryZeroError", "DepthExceededError")),
-        ],
-    )
-    def test_each_centroid_miss_is_logged_at_debug(
-        self, monkeypatch, caplog, omega, offset, reasons
-    ):
-        if offset is not None:
-            point = omega + offset
-            monkeypatch.setattr(oracle, "_centroids", lambda q, box, edges: (point, point))
-        caplog.set_level(logging.DEBUG, logger="quasizero.oracle")
-        boxes = isolate_zeros(Q11, self.RECT, eps=1e-3)
-        assert len(boxes) == 1 and boxes[0].contains(omega)
-        if offset is not None:
-            # every miss falls back to the split, down to the quadtree's box
-            assert repr(boxes) == repr([Rect(*QUADTREE_BOXES[0][3][0])])
-        assert all(r.levelno == logging.DEBUG for r in caplog.records)
-        misses = [r.getMessage() for r in caplog.records if "missed: " in r.getMessage()]
-        assert misses
-        assert f"in {self.RECT!r} missed: " in misses[0]
-        assert misses[0].rpartition("missed: ")[2].startswith(reasons)
-
     def test_nothing_is_logged_by_default(self, caplog, capsys):
-        caplog.set_level(logging.WARNING)
+        caplog.set_level(logging.DEBUG)
         isolate_zeros(Q11, self.RECT, eps=1e-3)
         assert not caplog.records
         assert capsys.readouterr() == ("", "")
@@ -470,6 +420,13 @@ class TestCountsMatchTheReference:
     def test_high_k_contours_near_the_origin(self, q, contour, count):
         assert _reference_count(q, contour)[0] == count
         assert _count(q, contour) == count
+
+    @pytest.mark.parametrize("length", [1e14, 1e15, 1e16])
+    def test_long_edges(self, length):
+        # each piece is padded for the rounding of its own points, so the
+        # pieces near the origin of an edge 1e16 long are certified
+        _assert_reference_count(Q11, Rect(-1, length, 0.5, 1))
+        assert count_zeros_rect(Q11, Rect(-1, length, 0.5, 1)).count == 0
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -550,18 +507,30 @@ class TestEachAcceptedPieceIsSound:
         ],
     )
     def test_steps_match_a_dense_walk(self, monkeypatch, q, call):
-        edges = []
-        walk = oracle._walk_edge
+        # each accepted piece, with the phase step the walk takes for it: the
+        # dominance step it returns, or the two principal steps through m
+        # that the derivative bound licenses
+        pieces, tried = [], []
+        dominance, derivative = oracle._dominance_step, oracle._derivative_certified
 
-        def recording(*args):
-            edges.append(walk(*args))
-            return edges[-1]
+        def recording_dominance(q, p0, f0, p1, f1, m, ell):
+            d = dominance(q, p0, f0, p1, f1, m, ell)
+            tried[:] = [(p0, f0, p1, f1)]
+            if d is not None:
+                pieces.append((p0, p1, d))
+            return d
 
-        monkeypatch.setattr(oracle, "_walk_edge", recording)
+        def recording_derivative(q, m, fm, ell):
+            ok = derivative(q, m, fm, ell)
+            if ok:
+                (p0, f0, p1, f1), = tried
+                pieces.append((p0, m, math.remainder(fm[0] - f0[0], math.tau)))
+                pieces.append((m, p1, math.remainder(f1[0] - fm[0], math.tau)))
+            return ok
+
+        monkeypatch.setattr(oracle, "_dominance_step", recording_dominance)
+        monkeypatch.setattr(oracle, "_derivative_certified", recording_derivative)
         call(q)
-        pieces = [
-            (p0, p1, d) for e in edges for p0, p1, d in zip(e.pts, e.pts[1:], e.steps)
-        ]
         assert len(pieces) >= 6
         for p0, p1, d in pieces:
             assert abs(_dense_phase_change(q.k, q.a, p0, p1) - d) < 1e-9, (p0, p1, d)

@@ -100,7 +100,7 @@ class TestSectorRadius:
         # With sin(delta) = 0.999 the envelope (1 + ln r)/r is already below
         # the bound at r = e, so the minimal radius is e itself.
         delta = math.asin(0.999)
-        assert sector_radius(Q11, 1, 1.0, delta) == pytest.approx(math.e)
+        assert sector_radius(Q11, 1.0, delta) == pytest.approx(math.e)
 
     def test_narrow_sector_matches_bisection(self):
         # Independent oracle: root of (1 + ln r)/r = 0.1 on [e, 1e6].
@@ -108,17 +108,17 @@ class TestSectorRadius:
         expected = bisect_root(
             lambda rr: (1.0 + math.log(rr)) / rr - 0.1, math.e, 1e6, tol=1e-13
         )
-        got = sector_radius(Q11, 1, 1.0, delta)
+        got = sector_radius(Q11, 1.0, delta)
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_monotone_in_delta(self):
-        radii = [sector_radius(Q11, 1, 2.0, d) for d in (0.1, 0.3, 0.6, 1.2)]
+        radii = [sector_radius(Q11, 2.0, d) for d in (0.1, 0.3, 0.6, 1.2)]
         assert radii == sorted(radii, reverse=True)
 
     def test_envelope_below_bound_beyond_radius(self):
         q = Quasipolynomial(3, 2j)
         delta = 0.3
-        r_star = sector_radius(q, 1, 2.0, delta)
+        r_star = sector_radius(q, 2.0, delta)
         for rr in (r_star, 2 * r_star, 10 * r_star, 100 * r_star):
             assert (2.0 + 3 * math.log(rr)) / rr <= math.sin(delta) + 1e-12
 
@@ -127,7 +127,7 @@ class TestSectorRadius:
         # they all lie within delta of the imaginary axis directions.
         q = Quasipolynomial(1, 1)
         h, delta = 2.0, 0.3
-        r_star = sector_radius(q, 1, h, delta)
+        r_star = sector_radius(q, h, delta)
         rng = random.Random(7)
         accepted = 0
         while accepted < 1000:
@@ -145,7 +145,7 @@ class TestSectorRadius:
     def test_invalid_delta(self):
         for bad in (0.0, math.pi / 2, 2.0, -0.1):
             with pytest.raises(InvalidQueryError):
-                sector_radius(Q11, 1, 1.0, bad)
+                sector_radius(Q11, 1.0, bad)
 
 
 def _band_edge_gap(k: int, s: int, h: float, lam: complex) -> float:
@@ -233,6 +233,14 @@ class TestGammaAbscissa:
     def test_nonfinite_input_rejected(self, h, y, name):
         with pytest.raises(InvalidQueryError, match=f"^{name} must be finite"):
             gamma_abscissa(Q11, 1, h, y)
+
+    @pytest.mark.parametrize("s", [0, 3, -1, 4])
+    def test_s_other_than_1_or_2_rejected(self, s):
+        # S picks the sign of k*ln|lambda|: no other value may stand for 1 or 2
+        with pytest.raises(InvalidQueryError, match=f"^S must be 1 or 2, got {s}"):
+            gamma_abscissa(Q11, s, 2.0, 10.0)
+        with pytest.raises(InvalidQueryError, match=f"^S must be 1 or 2, got {s}"):
+            gamma_polyline(Q11, s, 2, 2.0, 10.0, 20.0, 4)
 
 
 class TestGammaPolyline:

@@ -25,7 +25,7 @@ from quasizero import (
     small_zeros,
     spacing_report,
 )
-from quasizero import zeros as zeros_mod
+from quasizero import seeds
 from conftest import lambert_w_chain_zero, lambert_w_zeros
 
 Q11 = Quasipolynomial(1, 1)
@@ -264,20 +264,21 @@ class TestSmallZeros:
 
     @pytest.mark.parametrize("k, radius", [(14, 2.0), (40, 3.3), (120, 4.1), (200, 6.0)])
     def test_large_k_zeros_match_lambert_w(self, k, radius):
-        # the zeros near the origin sit closer than the first isolation
-        # boxes are wide, so Newton from a box centre can run to a
-        # neighbour: such boxes must be isolated again, not accepted
+        # k zeros sit on a ring around the origin, 2*pi/k of its radius apart
         self.assert_match_lambert_w(k, 1, radius)
 
     def test_meeting_disks_rejected(self, monkeypatch):
-        # every box "proves" the same zero: the disks meet before the count
-        monkeypatch.setattr(zeros_mod, "_box_zero", lambda q, box: (0.5j, 1e-3))
+        # the three zeros of Q(3, 1) in the disk lie 1.42 and more apart, so
+        # "proven" disks of radius 1 meet without holding one another's zero
+        monkeypatch.setattr(seeds, "_rouche", lambda q, z, radius=None: 1.0)
         with pytest.raises(CertificationError, match="meet"):
             small_zeros(Quasipolynomial(3, 1), 8.0)
 
     def test_unproven_box_is_named(self, monkeypatch):
-        monkeypatch.setattr(zeros_mod, "_box_zero", lambda q, box: None)
-        with pytest.raises(CertificationError, match="isolation box Rect"):
+        # no seed is proven, so the count of 1 is not matched, and the
+        # error names the seed that failed its proof
+        monkeypatch.setattr(seeds, "_rouche", lambda q, z, radius=None: None)
+        with pytest.raises(CertificationError, match=r"counts 1 zeros, but 0 .*the seed \(-0\.567"):
             small_zeros(Q11, 2.0)
 
     def test_invalid_radius(self):
